@@ -37,13 +37,11 @@ def _require_boolean(landscape: Landscape) -> None:
 
 
 def gradient(landscape: Landscape, state) -> tuple[int, ...]:
-    """Entry i is f(x[i -> 1]) - f(x[i -> 0]), exactly."""
+    """Entry i is f(x[i -> 1]) - f(x[i -> 0]), exactly.  A Boolean
+    landscape's scan has one flip per variable, in variable order."""
     _require_boolean(landscape)
-    out = []
-    for i, b in enumerate(state):
-        d = landscape.delta(state, (i, 1 - b))
-        out.append(-d if b == 1 else d)
-    return tuple(out)
+    return tuple(d if value == 1 else -d
+                 for (_, value), d in landscape.move_deltas(state))
 
 
 def gradient_by_full_evaluations(landscape: Landscape, state) -> tuple[int, ...]:

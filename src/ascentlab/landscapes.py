@@ -1,10 +1,20 @@
 """Fitness landscapes: an evaluable plus a single-variable move structure.
 
-The search engine only needs four things from a landscape: deterministic
-iteration over candidate moves, exact evaluation, exact move deltas, and move
-application.  Moves are (variable, new_value) pairs; the canonical order is
-variables ascending, values ascending, which is also what the
-lowest-variable-index tie-break policy refers to.
+The search engine needs five things from a landscape: deterministic
+iteration over candidate moves, exact evaluation, exact move deltas, the
+batched scan ``move_deltas``, and move application.  Moves are
+(variable, new_value) pairs; the canonical order is variables ascending,
+values ascending, which is also what the lowest-variable-index tie-break
+policy refers to.
+
+``move_deltas(state)`` returns ``[(move, delta), ...]`` for every move from
+``state`` in canonical order, each delta equal to ``delta(state, move)``.
+Steepest ascent reads one such scan per step.  The default asks ``delta``
+move by move; the VCSP landscape overrides it to check the assignment and
+read each constraint's table index once per scan, and the winding
+landscape's ``delta`` reads every flip of a state from one level pass.
+Callers that stop at the first improving move (first-improvement ascent,
+the census, the closure oracle) keep calling ``delta`` directly.
 """
 
 from __future__ import annotations
@@ -32,6 +42,10 @@ class Landscape:
 
     def delta(self, state, move) -> int:
         return self.evaluate(self.apply(state, move)) - self.evaluate(state)
+
+    def move_deltas(self, state) -> list[tuple]:
+        """Every move from ``state`` with its delta, in canonical order."""
+        return [(move, self.delta(state, move)) for move in self.moves(state)]
 
     def iter_states(self):
         raise NotImplementedError
@@ -62,6 +76,9 @@ class VcspLandscape(Landscape):
     def delta(self, state, move) -> int:
         var, value = move
         return self.instance.delta_evaluate(state, var, value)
+
+    def move_deltas(self, state) -> list[tuple]:
+        return self.instance._move_deltas(state, self.moves(state))
 
     def moves(self, state):
         for var, d in enumerate(self.instance.domains):

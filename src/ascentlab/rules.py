@@ -36,7 +36,7 @@ from .counting import (
     zero_state,
 )
 from .report import Report
-from .search import steepest_move
+from .search import steepest_choice
 from .symbols import format_symbol_state
 
 
@@ -553,9 +553,8 @@ def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
     rep = Report(f"steepest-ascent / rule lockstep, N={n}")
     steps = 0
     while state != end:
-        improving = {
-            m for m in landscape.moves(state) if landscape.delta(state, m) > 0
-        }
+        scan = landscape.move_deltas(state)
+        improving = {m for m, d in scan if d > 0}
         by_rule = {
             (len(state) - app.variable, app.new_symbol)
             for app in applicable_rules(state)
@@ -567,7 +566,7 @@ def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
                 f"(step {steps}): improving-only={sorted(improving - by_rule)} "
                 f"rule-only={sorted(by_rule - improving)}")
             return rep
-        move, _ = steepest_move(landscape, state)  # fail-on-tie
+        move, _ = steepest_choice(state, scan)  # fail-on-tie
         if move is None:
             rep.add("lockstep", False,
                     f"steepest ascent halts at {format_symbol_state(state)} (step {steps})")

@@ -69,13 +69,12 @@ class AscentTrace:
         return [s.state for s in self.steps]
 
 
-def best_moves(landscape: Landscape, state):
-    """All strictly improving moves of maximal delta, in canonical move
-    order, plus that delta (0 and [] at a local maximum)."""
+def _maximal_moves(scan):
+    """All strictly improving moves of maximal delta in a ``move_deltas``
+    scan, in scan order, plus that delta (0 and [] when none improves)."""
     best_delta = 0
     best: list[tuple] = []
-    for move in landscape.moves(state):
-        d = landscape.delta(state, move)
+    for move, d in scan:
         if d > best_delta:
             best_delta = d
             best = [move]
@@ -84,17 +83,33 @@ def best_moves(landscape: Landscape, state):
     return best, best_delta
 
 
-def steepest_move(landscape: Landscape, state, policy: str = FAIL_ON_TIE):
-    """The move steepest ascent takes from ``state``, or None at a local
-    maximum.  Returns (move, delta)."""
+def _steepest_of(state, moves, delta, policy):
+    """Steepest ascent's pick among the maximal ``moves`` of ``state``."""
     if policy not in TIE_POLICIES:
         raise ValueError(f"unknown tie policy {policy!r}")
-    moves, delta = best_moves(landscape, state)
     if not moves:
         return None, 0
     if len(moves) > 1 and policy == FAIL_ON_TIE:
         raise TieError(state, moves, delta)
     return moves[0], delta
+
+
+def best_moves(landscape: Landscape, state):
+    """All strictly improving moves of maximal delta, in canonical move
+    order, plus that delta (0 and [] at a local maximum)."""
+    return _maximal_moves(landscape.move_deltas(state))
+
+
+def steepest_choice(state, scan, policy: str = FAIL_ON_TIE):
+    """The move steepest ascent takes from ``state`` given its
+    ``move_deltas`` scan: (move, delta), or (None, 0) at a local maximum."""
+    return _steepest_of(state, *_maximal_moves(scan), policy)
+
+
+def steepest_move(landscape: Landscape, state, policy: str = FAIL_ON_TIE):
+    """The move steepest ascent takes from ``state``, or None at a local
+    maximum.  Returns (move, delta)."""
+    return _steepest_of(state, *best_moves(landscape, state), policy)
 
 
 def steepest_ascent(landscape: Landscape, start, policy: str = FAIL_ON_TIE,

@@ -77,12 +77,17 @@ class VcspInstance:
         return len(self.domains)
 
     @cached_property
-    def _constraints_by_var(self) -> tuple[tuple[SoftConstraint, ...], ...]:
-        by_var: list[list[SoftConstraint]] = [[] for _ in self.domains]
-        for c in self.constraints:
-            for v in c.scope:
-                by_var[v].append(c)
-        return tuple(tuple(cs) for cs in by_var)
+    def _terms_by_var(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per variable: (constraint position, stride) for each constraint
+        whose scope holds it.  The stride is how far the flattened table
+        index moves per unit of the variable's value."""
+        by_var: list[list[tuple[int, int]]] = [[] for _ in self.domains]
+        for pos, c in enumerate(self.constraints):
+            stride = 1
+            for v in reversed(c.scope):
+                by_var[v].append((pos, stride))
+                stride *= self.domains[v]
+        return tuple(tuple(terms) for terms in by_var)
 
     def _check_assignment(self, assignment) -> None:
         if len(assignment) != len(self.domains):
@@ -118,20 +123,32 @@ class VcspInstance:
             raise VcspError(f"variable index {var} out of range")
         if not 0 <= new_value < self.domains[var]:
             raise VcspError(f"value {new_value} out of domain range for variable {var}")
-        old_value = assignment[var]
-        if new_value == old_value:
+        step = new_value - assignment[var]
+        if step == 0:
             return 0
         delta = 0
-        for c in self._constraints_by_var[var]:
-            before = 0
-            after = 0
-            for v in c.scope:
-                d = self.domains[v]
-                a = assignment[v]
-                before = before * d + a
-                after = after * d + (new_value if v == var else a)
-            delta += c.weight * (c.values[after] - c.values[before])
+        for pos, stride in self._terms_by_var[var]:
+            c = self.constraints[pos]
+            before = self._table_index(c, assignment)
+            delta += c.weight * (c.values[before + step * stride] - c.values[before])
         return delta
+
+    def _move_deltas(self, assignment, moves) -> list[tuple]:
+        """``[(move, delta), ...]`` for in-range (var, new_value) moves: the
+        assignment is checked, and each table index read, once."""
+        self._check_assignment(assignment)
+        indices = [self._table_index(c, assignment) for c in self.constraints]
+        scan = []
+        for move in moves:
+            var, value = move
+            step = value - assignment[var]
+            delta = 0
+            for pos, stride in self._terms_by_var[var]:
+                c = self.constraints[pos]
+                before = indices[pos]
+                delta += c.weight * (c.values[before + step * stride] - c.values[before])
+            scan.append((move, delta))
+        return scan
 
     def constraint_graph(self) -> "ConstraintGraph":
         """Simple undirected graph: edge {i, j} iff i != j share a scope."""

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 from .landscapes import Landscape
 
+_BITS = frozenset((0, 1))
+
 
 class WindingError(ValueError):
     """Invalid schedule or state."""
@@ -97,79 +99,130 @@ class WindingLandscape(Landscape):
         for k in range(1, n + 1):
             pv.append(2 * pv[k - 1] + 2 * schedule.s_plus[k - 1])
         self.peak_value = tuple(pv)
-        # single-slot memo for the engine's repeated delta(state, .) calls;
-        # one atomic reference keeps concurrent readers consistent
+        # single-slot memo (state, (value, deltas)) of the last scanned
+        # state: the level pass yields every flip's delta at once, so the
+        # scan of a state (the default move_deltas, or any other caller
+        # asking delta move by move) pays for one pass and then looks the
+        # deltas up; one atomic reference keeps concurrent readers consistent
         self._memo: tuple | None = None
 
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, state) -> int:
+        return self._scan(state)[0]
+
+    def delta(self, state, move) -> int:
+        var, value = move
+        if value not in _BITS:
+            raise WindingError(f"move value {value!r} is not a bit")
+        deltas = self._scan(state)[1]
+        return 0 if state[var] == value else deltas[var]
+
+    def _scan(self, state):
+        """``(value, deltas)`` of a validated state: its fitness and, per
+        variable, the fitness change of flipping that variable."""
+        state = tuple(state)
+        memo = self._memo
+        if memo is not None and memo[0] == state:
+            return memo[1]
         if len(state) % 2 != 0:
             raise WindingError("winding states have even length")
         if len(state) != 2 * self.n:
             raise WindingError(f"state has {len(state)} bits, expected {2 * self.n}")
-        memo = self._memo
-        if memo is not None and memo[0] == state:
-            return memo[1]
-        value = self._evaluate(state)
-        self._memo = (state, value)
-        return value
+        if not _BITS.issuperset(state):
+            raise WindingError(f"winding states hold only bits 0 and 1, got {state!r}")
+        scan = self._level_scan(state)
+        self._memo = (state, scan)
+        return scan
 
-    def _evaluate(self, state, flip: int = -1) -> int:
-        """Value of ``state``, optionally with bit ``flip`` inverted.
+    def _level(self, k, a, b, g0, g1, at_peak):
+        """Level-k values of the pair (a, b) and of its inverse, given the
+        level-(k-1) values g0 of the prefix and g1 of the prefix XOR the
+        level-(k-1) peak.  ``at_peak``: the prefix is that peak."""
+        s_minus = self.schedule.s_minus[k - 1]
+        below = self.peak_value[k - 1]
+        if a == b:
+            # 11 adds the level-(k-1) peak value and 2 s+_k to the XOR-ed prefix
+            lifted = self.peak_value[k] - below + g1
+            return (g0, lifted) if a == 0 else (lifted, g0)
+        if at_peak:
+            rise, dip = below + self.schedule.s_plus[k - 1], below + s_minus
+            return (rise, dip) if a == 1 else (dip, rise)
+        return s_minus + g0, s_minus + g0
 
-        Iterative form of the level recursion.  The only mutation the
-        recursion ever performs is XOR-ing the current prefix with the peak
-        of the level below, which flips exactly the next pair to be read, so
-        a two-flag pending flip replaces a working copy of the state.
+    def _level_scan(self, state):
+        """One bottom-up pass of the level recursion, then every flip's
+        delta from the per-level values it leaves in place.
+
+        The recursion only ever XORs a prefix with the peak of the level
+        below, which inverts exactly the prefix's top pair.  So f0[k] (the
+        level-k value of the first k pairs) and f1[k] (the same with pair k
+        inverted) hold every value the recursion can reach, and sel[k]
+        says which of the two the fitness passes through (None below the
+        level where the walk ends).
+
+        A flip in pair j leaves every level below j alone.  The only other
+        input a level reads is its at-peak test (pairs 1..k-2 all 00, pair
+        k-1 equal to 11).  Unless all pairs below j are 00, the flip changes
+        no such test, and its delta is just the change of level j's value
+        on the selected side.  Otherwise the tests can change at level j+1
+        and at the level above the next non-00 pair m; the delta is read at
+        level min(n, m+1), above which nothing changes.
         """
-        s_plus = self.schedule.s_plus
-        s_minus = self.schedule.s_minus
-        peak_value = self.peak_value
-        ones = sum(state)
-        if flip >= 0:
-            ones += 1 - 2 * state[flip]
-        total = 0
-        fa = fb = 0
-        for k in range(self.n, 0, -1):
-            i2 = 2 * k - 2
-            a = state[i2] ^ fa
-            b = state[i2 + 1] ^ fb
-            if flip == i2:
-                a ^= 1
-            elif flip == i2 + 1:
-                b ^= 1
-            ones -= a + b  # ones in the (virtual) prefix of length 2(k-1)
-            fa = fb = 0
-            if a == b:
-                if a == 0:
-                    continue
-                total += peak_value[k - 1] + 2 * s_plus[k - 1]
-                if k >= 2:
-                    # XOR the prefix with the level-(k-1) peak: flip its top pair
-                    fa = fb = 1
-                    va = state[i2 - 2] ^ (1 if flip == i2 - 2 else 0)
-                    vb = state[i2 - 1] ^ (1 if flip == i2 - 1 else 0)
-                    ones += 2 - 2 * (va + vb)
-                continue
-            # a != b: outcome depends on whether the prefix is its own peak
-            if k == 1:
-                at_peak = True
-            else:
-                va = state[i2 - 2] ^ (1 if flip == i2 - 2 else 0)
-                vb = state[i2 - 1] ^ (1 if flip == i2 - 1 else 0)
-                at_peak = ones == 2 and va == 1 and vb == 1
-            if at_peak:
-                step = s_plus[k - 1] if a == 1 else s_minus[k - 1]
-                return total + peak_value[k - 1] + step
-            total += s_minus[k - 1]
-        return total
+        n = self.n
+        level = self._level
+        f0 = [0] * (n + 1)
+        f1 = [0] * (n + 1)
+        zero = [True] * (n + 1)      # zero[k]: pairs 1..k are all 00
+        at_peak = [True] * (n + 1)   # at_peak[k]: pairs 1..k-1 form the level-(k-1) peak
+        for k in range(1, n + 1):
+            a, b = state[2 * k - 2], state[2 * k - 1]
+            at_peak[k] = k == 1 or (zero[k - 2] and state[2 * k - 4] == state[2 * k - 3] == 1)
+            f0[k], f1[k] = level(k, a, b, f0[k - 1], f1[k - 1], at_peak[k])
+            zero[k] = zero[k - 1] and a == b == 0
 
-    def delta(self, state, move) -> int:
-        var, value = move
-        if state[var] == value:
-            return 0
-        return self._evaluate(state, flip=var) - self.evaluate(state)
+        sel: list = [None] * (n + 1)
+        side = 0
+        for k in range(n, 0, -1):
+            sel[k] = side
+            a, b = state[2 * k - 2] ^ side, state[2 * k - 1] ^ side
+            if a == b:
+                side = a
+            elif at_peak[k]:
+                break
+            else:
+                side = 0
+
+        deltas = [0] * (2 * n)
+        above = None  # lowest non-00 pair above the current one
+        for j in range(n, 0, -1):
+            pa, pb = state[2 * j - 2], state[2 * j - 1]
+            top = j if not zero[j - 1] else n if above is None else min(n, above + 1)
+            side = sel[top]
+            if side is not None:
+                old = f1[top] if side else f0[top]
+                for i, a, b in ((2 * j - 2, pa ^ 1, pb), (2 * j - 1, pa, pb ^ 1)):
+                    g = level(j, a, b, f0[j - 1], f1[j - 1], at_peak[j])
+                    if top > j:
+                        g = self._walk_up(state, j, a, b, g, top)
+                    deltas[i] = g[side] - old
+            if pa or pb:
+                above = j
+        return f0[n], tuple(deltas)
+
+    def _walk_up(self, state, j, a, b, g, top):
+        """Level-``top`` values of a state whose pairs 1..j-1 are all 00 and
+        whose pair j became (a, b) with level-j values ``g``; see
+        :meth:`_level_scan`."""
+        z_below = True                      # at level k: pairs 1..k-2 are all 00
+        z = a == b == 0                     # pairs 1..k-1 are all 00
+        top_pair_set = a == b == 1          # pair k-1 is 11
+        for k in range(j + 1, top + 1):
+            a, b = state[2 * k - 2], state[2 * k - 1]
+            g = self._level(k, a, b, g[0], g[1], z_below and top_pair_set)
+            z_below, z = z, z and a == b == 0
+            top_pair_set = a == b == 1
+        return g
 
     # -- moves / enumeration ------------------------------------------------
 

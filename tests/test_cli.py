@@ -111,6 +111,16 @@ def test_budget_exit_code(tmp_path, capsys):
     assert code == EXIT_BUDGET
 
 
+def test_run_rejects_non_bit_winding_start(tmp_path, capsys):
+    inst = tmp_path / "w.json"
+    main(["gen", "winding", "--n", "3", "-o", str(inst)])
+    capsys.readouterr()
+    code = main(["run", str(inst), "--start", "200000", "--max-steps", "10"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert "bits" in captured.err and captured.out == ""
+
+
 def test_verify_exit_codes_and_json(capsys):
     assert main(["verify", "arithmetic", "--format", "json"]) == EXIT_OK
     obj = json.loads(capsys.readouterr().out)

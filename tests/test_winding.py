@@ -121,6 +121,15 @@ def test_invalid_states():
         landscape.evaluate((0, 1, 0))   # odd length
     with pytest.raises(WindingError):
         landscape.evaluate((0, 1))      # wrong width
+    for state in ((2, 0, 0, 0), (0, 0, -1, 0), (0, 1, 1, 3)):  # not bits
+        with pytest.raises(WindingError):
+            landscape.evaluate(state)
+        with pytest.raises(WindingError):
+            landscape.move_deltas(state)
+        with pytest.raises(WindingError):
+            landscape.delta(state, (0, 1))
+    with pytest.raises(WindingError):
+        landscape.delta((0, 0, 0, 0), (1, 2))  # a move to a non-bit
 
 
 def test_serialization_round_trip():
