@@ -79,10 +79,7 @@ from .vcsp import (
     SoftConstraint,
     VcspError,
     VcspInstance,
-    constraint_graph,
-    delta_evaluate,
     dump_instance,
-    evaluate,
     instance_from_obj,
     instance_to_obj,
     load_instance,
@@ -94,7 +91,6 @@ from .winding import (
     WindingLandscape,
     dump_winding,
     load_winding,
-    winding_fitness,
     winding_from_obj,
     winding_to_obj,
 )

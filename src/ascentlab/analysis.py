@@ -306,27 +306,60 @@ def verify_gradient_formulas(n_low: int = 2, n_high: int = 6,
     return rep
 
 
-def verify_pathwidth(n_low: int = 3, n_high: int = 10,
-                     brute_force_n: int = 3) -> Report:
-    """The encoded counting instance's constraint graph has ordering width
-    exactly 7 under the lexicographic variable order for every N, and exact
-    treewidth on the smallest case confirms the bound is tight."""
+def _missing_edge(graph: ConstraintGraph, scope):
+    """Two variables of ``scope`` that ``graph`` does not join, or None
+    when the scope is a clique of the graph."""
+    for i, u in enumerate(scope):
+        for v in scope[i + 1:]:
+            if v not in graph.adjacency[u]:
+                return u, v
+    return None
+
+
+def verify_pathwidth(n_low: int = 3, n_high: int = 10, brute_force_n: int = 3,
+                     graph_of=None) -> Report:
+    """The encoded counting instance's constraint graph has pathwidth and
+    treewidth exactly 7 for every N in range.  The lexicographic variable
+    order has width 7, an upper bound; every arity-8 scope is an 8-clique of
+    the graph, and a k-clique forces treewidth >= k - 1, the lower bound.
+    Exact treewidth on the smallest case confirms both.
+
+    ``graph_of(instance)`` is the graph checked, by default the instance's
+    constraint graph; passing a corrupted one shows the checks fire."""
     from .counting import make_counting_boolean_instance
 
     rep = Report("constraint-graph width")
+
+    def graph_for(n):
+        instance = make_counting_boolean_instance(n)
+        return instance, (instance.constraint_graph() if graph_of is None
+                          else graph_of(instance))
+
     for n in range(n_low, n_high + 1):
-        graph = make_counting_boolean_instance(n).constraint_graph()
+        instance, graph = graph_for(n)
         width = pathwidth_upper_bound(graph, range(graph.num_vertices))
         rep.add(
             f"lexicographic ordering width, N={n}",
             width == 7,
             f"width {width} on {graph.num_vertices} vertices",
         )
-    graph = make_counting_boolean_instance(brute_force_n).constraint_graph()
+        scopes = [c.scope for c in instance.constraints]
+        broken = next(((scope, edge) for scope in scopes
+                       if (edge := _missing_edge(graph, scope))), None)
+        if broken:
+            ok, detail = False, f"scope {broken[0]} is not a clique: no edge {broken[1]}"
+        else:
+            clique = max(scopes, key=len)
+            lower = len(clique) - 1
+            ok = lower == width == 7
+            detail = (f"{len(clique)}-clique {sorted(clique)} (a constraint scope) "
+                      f"gives treewidth >= {lower}, the ordering pathwidth <= {width}")
+        rep.add(f"width exactly 7, N={n}", ok, detail)
+    _, graph = graph_for(brute_force_n)
     tw = treewidth_exact(graph)
     rep.add(
         f"exact treewidth, N={brute_force_n}",
-        tw <= 7,
+        tw == 7,
         f"treewidth {tw} (dynamic programming over all elimination orders)",
     )
     return rep

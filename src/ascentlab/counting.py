@@ -187,9 +187,18 @@ class SymbolCountingLandscape(Landscape):
             return self._h.get(last, 0)
         return 0
 
-    def evaluate(self, state) -> int:
+    def _check_length(self, state) -> None:
         if len(state) != self.n:
             raise VcspError(f"state has {len(state)} symbols, expected {self.n}")
+
+    def _check_state(self, state) -> None:
+        self._check_length(state)
+        for sym in state:
+            if sym not in SYMBOL_INDEX:
+                raise VcspError(f"{sym!r} is not a symbol of the alphabet")
+
+    def evaluate(self, state) -> int:
+        self._check_state(state)
         total = 0
         f = self._f
         for k in range(self.n - 1):
@@ -198,6 +207,9 @@ class SymbolCountingLandscape(Landscape):
         return total
 
     def delta(self, state, move) -> int:
+        # Only the length is checked: the closure oracle calls this on
+        # every move of every enumerated state.
+        self._check_length(state)
         pos, new = move
         old = state[pos]
         if new == old:
@@ -218,6 +230,19 @@ class SymbolCountingLandscape(Landscape):
         elif pos == self.n - 2:
             d += self._hv(new, state[-1]) - self._hv(old, state[-1])
         return d
+
+    def move_deltas(self, state, variables=None) -> list[tuple]:
+        self._check_state(state)
+        scan = []
+        for pos in range(self.n) if variables is None else variables:
+            for t in ADJACENT_SYMBOLS[state[pos]]:
+                move = (pos, t)
+                scan.append((move, self.delta(state, move)))
+        return scan
+
+    def affected(self, var):
+        # every cost term joins adjacent positions
+        return range(max(var - 1, 0), min(var + 2, self.n))
 
     def moves(self, state):
         for pos, sym in enumerate(state):

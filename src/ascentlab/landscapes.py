@@ -1,20 +1,27 @@
 """Fitness landscapes: an evaluable plus a single-variable move structure.
 
-The search engine needs five things from a landscape: deterministic
+The search engine needs six things from a landscape: deterministic
 iteration over candidate moves, exact evaluation, exact move deltas, the
-batched scan ``move_deltas``, and move application.  Moves are
-(variable, new_value) pairs; the canonical order is variables ascending,
-values ascending, which is also what the lowest-variable-index tie-break
-policy refers to.
+batched scan ``move_deltas``, the locality hook ``affected``, and move
+application.  Moves are (variable, new_value) pairs; the canonical order is
+variables ascending, values ascending, which is also what the
+lowest-variable-index tie-break policy refers to.
 
-``move_deltas(state)`` returns ``[(move, delta), ...]`` for every move from
-``state`` in canonical order, each delta equal to ``delta(state, move)``.
-Steepest ascent reads one such scan per step.  The default asks ``delta``
-move by move; the VCSP landscape overrides it to check the assignment and
-read each constraint's table index once per scan, and the winding
-landscape's ``delta`` reads every flip of a state from one level pass.
-Callers that stop at the first improving move (first-improvement ascent,
-the census, the closure oracle) keep calling ``delta`` directly.
+``move_deltas(state, variables=None)`` returns ``[(move, delta), ...]`` for
+every move from ``state`` in canonical order, each delta equal to
+``delta(state, move)``; given ``variables`` (ascending), only the moves of
+those variables.  The default asks ``delta`` move by move; the VCSP
+landscape overrides it to check the assignment and read each constraint's
+table index once per scan, and the winding landscape's ``delta`` reads
+every flip of a state from one level pass.
+
+``affected(var)`` names, in ascending order, every variable whose moves or
+move deltas a move on ``var`` may change: the variable itself and the
+variables that share a cost term with it.  The ascent engines keep a
+move -> delta table from step to step and, after a move on ``var``,
+rescan only ``move_deltas(state, affected(var))``.  The default, ``None``,
+means every variable: a black-box landscape gets one full scan per step.
+A landscape names a neighbourhood for every variable or for none.
 """
 
 from __future__ import annotations
@@ -43,9 +50,19 @@ class Landscape:
     def delta(self, state, move) -> int:
         return self.evaluate(self.apply(state, move)) - self.evaluate(state)
 
-    def move_deltas(self, state) -> list[tuple]:
-        """Every move from ``state`` with its delta, in canonical order."""
-        return [(move, self.delta(state, move)) for move in self.moves(state)]
+    def move_deltas(self, state, variables=None) -> list[tuple]:
+        """Every move from ``state`` with its delta, in canonical order;
+        only the moves of ``variables`` when given."""
+        moves = self.moves(state)
+        if variables is not None:
+            wanted = set(variables)
+            moves = (move for move in moves if move[0] in wanted)
+        return [(move, self.delta(state, move)) for move in moves]
+
+    def affected(self, var):
+        """The variables whose moves or deltas a move on ``var`` may
+        change, ascending; None when that may be any variable."""
+        return None
 
     def iter_states(self):
         raise NotImplementedError
@@ -77,13 +94,18 @@ class VcspLandscape(Landscape):
         var, value = move
         return self.instance.delta_evaluate(state, var, value)
 
-    def move_deltas(self, state) -> list[tuple]:
-        return self.instance._move_deltas(state, self.moves(state))
+    def move_deltas(self, state, variables=None) -> list[tuple]:
+        return self.instance._move_deltas(state, self.moves(state, variables))
 
-    def moves(self, state):
-        for var, d in enumerate(self.instance.domains):
+    def affected(self, var):
+        return self.instance._neighbourhoods[var]
+
+    def moves(self, state, variables=None):
+        """Every move from ``state``, or of ``variables`` only when given."""
+        domains = self.instance.domains
+        for var in range(len(domains)) if variables is None else variables:
             cur = state[var]
-            for value in range(d):
+            for value in range(domains[var]):
                 if value != cur:
                     yield (var, value)
 

@@ -36,7 +36,7 @@ from .counting import (
     zero_state,
 )
 from .report import Report
-from .search import steepest_choice
+from .search import _MoveTable, steepest_choice
 from .symbols import format_symbol_state
 
 
@@ -543,7 +543,9 @@ def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
     """Lockstep oracle: from ``start`` (default 0^N), steepest ascent under
     fail-on-tie and the prioritized rules must produce the same state
     sequence up to the counting path's endpoint 01^(N-1), with the improving
-    flips at every visited state exactly the guard-matching transitions."""
+    flips at every visited state exactly the guard-matching transitions.
+    Both sets come from the ascent loop's move table, which after each step
+    recomputes only the deltas near the flipped position."""
     if landscape is None:
         landscape = SymbolCountingLandscape(n)
     if budget is None:
@@ -552,9 +554,9 @@ def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
     end = count_end_state(n)
     rep = Report(f"steepest-ascent / rule lockstep, N={n}")
     steps = 0
+    table = _MoveTable(landscape, state)
     while state != end:
-        scan = landscape.move_deltas(state)
-        improving = {m for m, d in scan if d > 0}
+        improving = {m for m, d in table.entries() if d > 0}
         by_rule = {
             (len(state) - app.variable, app.new_symbol)
             for app in applicable_rules(state)
@@ -566,13 +568,13 @@ def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
                 f"(step {steps}): improving-only={sorted(improving - by_rule)} "
                 f"rule-only={sorted(by_rule - improving)}")
             return rep
-        move, _ = steepest_choice(state, scan)  # fail-on-tie
+        move, _ = steepest_choice(state, table.entries())  # fail-on-tie
         if move is None:
             rep.add("lockstep", False,
                     f"steepest ascent halts at {format_symbol_state(state)} (step {steps})")
             return rep
         successor = rule_successor(state)
-        by_steepest = landscape.apply(state, move)
+        by_steepest = table.step(move)
         if successor is None or successor[0] != by_steepest:
             got = "halt" if successor is None else format_symbol_state(successor[0])
             rep.add(

@@ -11,6 +11,7 @@ are exponential by design, so the caller must say what budget they mean.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -112,62 +113,105 @@ def steepest_move(landscape: Landscape, state, policy: str = FAIL_ON_TIE):
     return _steepest_of(state, *best_moves(landscape, state), policy)
 
 
-def steepest_ascent(landscape: Landscape, start, policy: str = FAIL_ON_TIE,
-                    *, max_steps: int) -> AscentTrace:
-    """Run steepest ascent from ``start`` until a local maximum or the step
-    budget; the trace records every visited state."""
+class _MoveTable:
+    """The ascent loop's move -> delta table: every move from ``state`` with
+    its delta, carried from step to step.
+
+    When the landscape names neighbourhoods (``Landscape.affected``), the
+    table holds one group of (move, delta) pairs per variable, and a move on
+    ``v`` rescans only the groups of ``affected(v)``.  Otherwise it is one
+    group, rescanned whole after every move.  Either way the groups chain
+    into the full scan in canonical order.
+    """
+
+    def __init__(self, landscape: Landscape, state):
+        self.landscape = landscape
+        self.state = state
+        self.local = landscape.affected(0) is not None
+        scan = landscape.move_deltas(state)
+        self.groups = self._by_variable(scan) if self.local else [scan]
+
+    def _by_variable(self, scan):
+        groups = [[] for _ in range(self.landscape.num_variables)]
+        for entry in scan:
+            groups[entry[0][0]].append(entry)
+        return groups
+
+    def entries(self):
+        """The (move, delta) pairs of the current state, in canonical order."""
+        if not self.local:
+            return self.groups[0]
+        return itertools.chain.from_iterable(self.groups)
+
+    def by_variable(self):
+        """The (move, delta) pairs grouped per variable, indexed by variable."""
+        return self.groups if self.local else self._by_variable(self.groups[0])
+
+    def step(self, move):
+        """Apply ``move`` and bring the table up to date; returns the new state."""
+        landscape = self.landscape
+        self.state = state = landscape.apply(self.state, move)
+        if not self.local:
+            self.groups = [landscape.move_deltas(state)]
+            return state
+        affected = landscape.affected(move[0])
+        groups = self.groups
+        for var in affected:
+            groups[var] = []
+        for entry in landscape.move_deltas(state, affected):
+            groups[entry[0][0]].append(entry)
+        return state
+
+
+def _ascend(landscape: Landscape, start, choose, max_steps: int) -> AscentTrace:
+    """The ascent loop: ``choose(table)`` returns the (move, delta) to take
+    from ``table.state``, or (None, 0) to stop at a local maximum."""
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     state = tuple(start)
     fitness = landscape.evaluate(state)
     steps = [TraceStep(state, fitness, None, 0)]
+    table = _MoveTable(landscape, state)
     for _ in range(max_steps):
-        move, delta = steepest_move(landscape, state, policy)
+        move, delta = choose(table)
         if move is None:
             return AscentTrace(steps, LOCAL_OPTIMUM)
-        state = landscape.apply(state, move)
+        state = table.step(move)
         fitness += delta
         steps.append(TraceStep(state, fitness, move, delta))
     # budget exhausted; report whether we happen to already be at the top
-    move, _ = best_moves(landscape, state)
-    terminal = LOCAL_OPTIMUM if not move else STEP_BUDGET
-    return AscentTrace(steps, terminal)
+    improving = any(d > 0 for _, d in table.entries())
+    return AscentTrace(steps, STEP_BUDGET if improving else LOCAL_OPTIMUM)
+
+
+def steepest_ascent(landscape: Landscape, start, policy: str = FAIL_ON_TIE,
+                    *, max_steps: int) -> AscentTrace:
+    """Run steepest ascent from ``start`` until a local maximum or the step
+    budget; the trace records every visited state."""
+
+    def steepest(table):
+        return _steepest_of(table.state, *_maximal_moves(table.entries()), policy)
+
+    return _ascend(landscape, start, steepest, max_steps)
 
 
 def first_improvement_ascent(landscape: Landscape, start, seed: int,
                              *, max_steps: int) -> AscentTrace:
     """Arbitrary-improving-flip baseline: per step, scan variables in a
     seeded random order and take the first strictly improving move."""
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
     rng = random.Random(seed)
-    state = tuple(start)
-    fitness = landscape.evaluate(state)
-    steps = [TraceStep(state, fitness, None, 0)]
-    for _ in range(max_steps):
-        by_var: dict[int, list[tuple]] = {}
-        for move in landscape.moves(state):
-            by_var.setdefault(move[0], []).append(move)
-        order = sorted(by_var)
+
+    def first_improving(table):
+        groups = table.by_variable()
+        order = [var for var, group in enumerate(groups) if group]
         rng.shuffle(order)
-        taken = None
         for var in order:
-            for move in by_var[var]:
-                d = landscape.delta(state, move)
+            for move, d in groups[var]:
                 if d > 0:
-                    taken = (move, d)
-                    break
-            if taken:
-                break
-        if taken is None:
-            return AscentTrace(steps, LOCAL_OPTIMUM)
-        move, delta = taken
-        state = landscape.apply(state, move)
-        fitness += delta
-        steps.append(TraceStep(state, fitness, move, delta))
-    moves, _ = best_moves(landscape, state)
-    terminal = LOCAL_OPTIMUM if not moves else STEP_BUDGET
-    return AscentTrace(steps, terminal)
+                    return move, d
+        return None, 0
+
+    return _ascend(landscape, start, first_improving, max_steps)
 
 
 def is_local_maximum(landscape: Landscape, state) -> bool:

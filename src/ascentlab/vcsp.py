@@ -89,6 +89,16 @@ class VcspInstance:
                 stride *= self.domains[v]
         return tuple(tuple(terms) for terms in by_var)
 
+    @cached_property
+    def _neighbourhoods(self) -> tuple[tuple[int, ...], ...]:
+        """Per variable: itself and every variable sharing a scope with it,
+        ascending; a change of the variable changes no other move delta."""
+        constraints = self.constraints
+        return tuple(
+            tuple(sorted({var}.union(*(constraints[pos].scope for pos, _ in terms))))
+            for var, terms in enumerate(self._terms_by_var)
+        )
+
     def _check_assignment(self, assignment) -> None:
         if len(assignment) != len(self.domains):
             raise VcspError(
@@ -135,17 +145,22 @@ class VcspInstance:
 
     def _move_deltas(self, assignment, moves) -> list[tuple]:
         """``[(move, delta), ...]`` for in-range (var, new_value) moves: the
-        assignment is checked, and each table index read, once."""
+        assignment is checked once, and each table index the moves need is
+        read once."""
         self._check_assignment(assignment)
-        indices = [self._table_index(c, assignment) for c in self.constraints]
+        constraints = self.constraints
+        terms_by_var = self._terms_by_var
+        indices = [None] * len(constraints)
         scan = []
         for move in moves:
             var, value = move
             step = value - assignment[var]
             delta = 0
-            for pos, stride in self._terms_by_var[var]:
-                c = self.constraints[pos]
+            for pos, stride in terms_by_var[var]:
+                c = constraints[pos]
                 before = indices[pos]
+                if before is None:
+                    before = indices[pos] = self._table_index(c, assignment)
                 delta += c.weight * (c.values[before + step * stride] - c.values[before])
             scan.append((move, delta))
         return scan
@@ -226,14 +241,3 @@ def load_instance(path) -> VcspInstance:
     with open(path, "r", encoding="utf-8") as fh:
         return instance_from_obj(json.load(fh))
 
-
-def evaluate(instance: VcspInstance, assignment) -> int:
-    return instance.evaluate(assignment)
-
-
-def delta_evaluate(instance: VcspInstance, assignment, var: int, new_value: int) -> int:
-    return instance.delta_evaluate(assignment, var, new_value)
-
-
-def constraint_graph(instance: VcspInstance) -> ConstraintGraph:
-    return instance.constraint_graph()

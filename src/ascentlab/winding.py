@@ -302,10 +302,6 @@ class WindingLandscape(Landscape):
         return tuple(out)
 
 
-def winding_fitness(landscape: WindingLandscape, state) -> int:
-    return landscape.evaluate(state)
-
-
 # ---------------------------------------------------------------------------
 # Serialization: a winding landscape is just {n, s_plus, s_minus}.
 # ---------------------------------------------------------------------------

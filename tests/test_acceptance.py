@@ -111,14 +111,19 @@ def test_boolean_lift_lockstep():
 
 
 def test_pathwidth_seven():
-    # lexicographic ordering width exactly 7 for N = 3..10, and exact
-    # treewidth on the 12-vertex N = 3 graph confirms <= 7
+    # lexicographic ordering width exactly 7 for N = 3..10, each arity-8
+    # scope an 8-clique (so treewidth >= 7), and exact treewidth on the
+    # 12-vertex N = 3 graph is 7
     for n in range(3, 11):
-        graph = make_counting_boolean_instance(n).constraint_graph()
+        instance = make_counting_boolean_instance(n)
+        graph = instance.constraint_graph()
         assert pathwidth_upper_bound(graph, range(graph.num_vertices)) == 7
+        for c in instance.constraints:
+            assert len(c.scope) == 8
+            assert all(set(c.scope) - {v} <= graph.adjacency[v] for v in c.scope)
     graph3 = make_counting_boolean_instance(3).constraint_graph()
     assert graph3.num_vertices == 12
-    assert treewidth_exact(graph3) <= 7
+    assert treewidth_exact(graph3) == 7
 
 
 def test_gradient_formulas():

@@ -295,3 +295,19 @@ def test_verify_gradient_suite_passes():
 def test_verify_pathwidth_suite_passes():
     report = verify_pathwidth(3, 6)
     assert report.passed
+    assert "8-clique [0, 1, 2, 3, 4, 5, 6, 7]" in report.checks[1].detail
+
+
+def test_verify_pathwidth_fires_on_a_scope_missing_one_edge():
+    # drop the edge {0, 1} of the lowest scope's 8-clique
+    def without_edge(instance):
+        adjacency = list(instance.constraint_graph().adjacency)
+        adjacency[0] -= {1}
+        adjacency[1] -= {0}
+        return ConstraintGraph(len(adjacency), tuple(adjacency))
+
+    report = verify_pathwidth(2, 4, graph_of=without_edge)
+    assert not report.passed
+    failed = [c for c in report.checks if not c.ok]
+    assert [c.label for c in failed] == [f"width exactly 7, N={n}" for n in (2, 3, 4)]
+    assert all("no edge (0, 1)" in c.detail for c in failed)

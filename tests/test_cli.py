@@ -89,6 +89,39 @@ def test_run_edited_instance_uses_its_own_tables(tmp_path, capsys):
     assert steps < healthy_steps
 
 
+def test_run_refuses_an_instance_whose_tables_differ(tmp_path, capsys):
+    # one pair table and one weight edited: the file's own tables score
+    # <0 C 0 0 0> as 6, which no symbol landscape with a single pair table
+    # reproduces, so the run is refused instead of printing fitness 592
+    inst = tmp_path / "cs5.json"
+    main(["gen", "counting-symbol", "--n", "5", "-o", str(inst)])
+    capsys.readouterr()
+    obj = json.loads(inst.read_text())
+    from ascentlab.symbols import SYMBOLS, parse_symbol_state
+
+    obj["constraints"][2]["values"][SYMBOLS.index("C") * 10 + SYMBOLS.index("0")] = 0
+    obj["constraints"][3]["weight"] = 1
+    inst.write_text(json.dumps(obj))
+    start = parse_symbol_state("0 C 0 0 0")
+    own = load_instance(inst).evaluate(SymbolCountingLandscape(5).to_assignment(start))
+    assert own == 6
+    code = main(["run", str(inst), "--start", "0 C 0 0 0", "--max-steps", "0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert captured.out == "" and "differs" in captured.err
+
+
+def test_run_refuses_a_counting_file_without_the_pair_layout(tmp_path, capsys):
+    inst = tmp_path / "cs3.json"
+    main(["gen", "counting-symbol", "--n", "3", "-o", str(inst)])
+    capsys.readouterr()
+    obj = json.loads(inst.read_text())
+    obj["constraints"] = obj["constraints"][1:]
+    inst.write_text(json.dumps(obj))
+    assert main(["run", str(inst), "--max-steps", "10"]) == EXIT_INVALID
+    assert "counting-symbol" in capsys.readouterr().err
+
+
 def test_run_tie_exit_code(tmp_path, capsys):
     # from (0,1,0,1) both mismatched pairs offer the same +alpha repair
     inst = tmp_path / "p.json"

@@ -106,6 +106,23 @@ def test_counting_validation():
         make_counting_boolean_instance(1)
 
 
+def test_symbol_landscape_rejects_invalid_states():
+    landscape = SymbolCountingLandscape(4)
+    with pytest.raises(VcspError):
+        landscape.evaluate(("Q",) * 4)
+    with pytest.raises(VcspError):
+        landscape.evaluate(("0",) * 3)
+    with pytest.raises(VcspError):
+        landscape.delta(("0",) * 3, (0, "i01"))
+    with pytest.raises(VcspError):
+        landscape.delta(("0",) * 5, (0, "i01"))
+    for state in (("0",) * 3, ("0",) * 5, ("0", "Q", "0", "0")):
+        with pytest.raises(VcspError):
+            landscape.move_deltas(state)
+        with pytest.raises(VcspError):
+            landscape.move_deltas(state, range(2))
+
+
 def test_counting_landscape_matches_instance_evaluation():
     for n in (2, 3, 4):
         landscape = SymbolCountingLandscape(n)

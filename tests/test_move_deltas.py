@@ -243,6 +243,8 @@ def test_steepest_choice_reports_the_same_tie_as_steepest_move():
 # -- the lockstep oracle computes each delta once -------------------------------
 
 def test_lockstep_reads_each_delta_once():
+    # one full scan of the start, then per step only the moves of the
+    # flipped position and its neighbours
     class Counted(SymbolCountingLandscape):
         calls = 0
 
@@ -254,7 +256,10 @@ def test_lockstep_reads_each_delta_once():
     landscape = Counted(n)
     report = verify_steepest_equals_rules(n, landscape=landscape)
     assert report.passed
-    states = steepest_ascent(SymbolCountingLandscape(n), zero_state(n),
-                             max_steps=2 ** (n + 4)).states()
-    visited = states[:states.index(count_end_state(n))]
-    assert landscape.calls == sum(len(list(landscape.moves(s))) for s in visited)
+    healthy = SymbolCountingLandscape(n)
+    steps = steepest_ascent(healthy, zero_state(n), max_steps=2 ** (n + 4)).steps
+    to_end = [s.state for s in steps].index(count_end_state(n))
+    rescanned = sum(
+        len(healthy.move_deltas(s.state, healthy.affected(s.move[0])))
+        for s in steps[1:to_end + 1])
+    assert landscape.calls == len(healthy.move_deltas(zero_state(n))) + rescanned

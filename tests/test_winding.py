@@ -10,7 +10,6 @@ from ascentlab.winding import (
     StepSchedule,
     WindingError,
     WindingLandscape,
-    winding_fitness,
     winding_from_obj,
     winding_to_obj,
 )
@@ -69,7 +68,6 @@ def test_single_level_values():
     assert landscape.evaluate((0, 1)) == 2   # barrier step
     assert landscape.evaluate((0, 0)) == 0
     assert landscape.evaluate((1, 1)) == 10
-    assert winding_fitness(landscape, (1, 0)) == 5
 
 
 def test_all_zero_state_is_zero():
