@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from .landscapes import Landscape
 from .report import Report
+from .search import _MoveTable
 from .vcsp import ConstraintGraph
 from .winding import SCHEDULE_PRESETS, WindingLandscape
 
@@ -228,27 +229,77 @@ class CensusResult:
         return (self.global_max, self.worst_local_max)
 
 
+def _gray_steps(domains):
+    """The moves of a walk through every state of ``domains`` from its zero
+    state, in reflected mixed-radix Gray-code order: each move changes one
+    variable by one position in its domain, the last variable fastest
+    (Knuth, TAOCP 4A, 7.2.1.1, Algorithm H).  Yields (variable, value)."""
+    digits = [v for v in reversed(range(len(domains))) if len(domains[v]) > 1]
+    radices = [len(domains[v]) for v in digits]
+    a = [0] * len(digits)           # each digit's position in its domain
+    o = [1] * len(digits)           # each digit's direction
+    f = list(range(len(digits) + 1))  # focus pointers
+    while True:
+        j = f[0]
+        f[0] = 0
+        if j == len(digits):
+            return
+        a[j] += o[j]
+        var = digits[j]
+        yield var, domains[var][a[j]]
+        if a[j] == 0 or a[j] == radices[j] - 1:
+            o[j] = -o[j]
+            f[j] = f[j + 1]
+            f[j + 1] = j + 1
+
+
 def local_optima_census(landscape: Landscape, max_states: int,
                         keep_maxima: bool = False) -> CensusResult:
-    """Exhaustive census of local maxima under the landscape's move set."""
+    """Exhaustive census of local maxima under the landscape's move set.
+
+    One walk visits every state in Gray-code order on the ascent engines'
+    move table: the fitness moves by each step's delta, only the groups the
+    step makes stale are rescanned, and a count of improving moves per group
+    says whether a state is a local maximum.  ``maxima`` are in
+    ``iter_states`` order."""
     total = landscape.state_count()
     if total > max_states:
         raise AnalysisError(
             f"state space has {total} states, over the cap {max_states}")
+    state = landscape.zero_state()
+    fitness = landscape.evaluate(state)
+    table = _MoveTable(landscape, state)
+    groups = table.groups
+    improving = [0] * len(groups)   # improving moves per group
+    improving_total = 0
+    rescanned = range(len(groups))
     count = 0
-    global_max = None
-    worst_local = None
+    global_max = worst_local = None
     kept = []
-    for state in landscape.iter_states():
-        value = landscape.evaluate(state)
-        if global_max is None or value > global_max:
-            global_max = value
-        if all(landscape.delta(state, m) <= 0 for m in landscape.moves(state)):
+    steps = _gray_steps(landscape.domains())
+    while True:
+        for g in rescanned:
+            improving_total -= improving[g]
+            improving[g] = c = len([d for _, d in groups[g] if d > 0])
+            improving_total += c
+        if not improving_total:
+            # a global maximum has no improving move, so it is met here
             count += 1
-            if worst_local is None or value < worst_local:
-                worst_local = value
+            if global_max is None or fitness > global_max:
+                global_max = fitness
+            if worst_local is None or fitness < worst_local:
+                worst_local = fitness
             if keep_maxima:
-                kept.append((state, value))
+                kept.append((table.state, fitness))
+        move = next(steps, None)
+        if move is None:
+            break
+        fitness += table.delta(move)
+        rescanned = table.step(move)
+    if keep_maxima:
+        position = [{value: i for i, value in enumerate(values)}
+                    for values in landscape.domains()]
+        kept.sort(key=lambda kv: [position[v][x] for v, x in enumerate(kv[0])])
     return CensusResult(count, global_max, worst_local, total, tuple(kept))
 
 

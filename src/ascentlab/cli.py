@@ -160,16 +160,14 @@ def _symbol_landscape_from_instance(instance) -> SymbolCountingLandscape:
 
 
 def _parse_start(landscape, text: str | None):
+    if text is None:
+        return landscape.zero_state()
     if isinstance(landscape, SymbolCountingLandscape):
-        if text is None:
-            return landscape.zero_state()
         state = parse_symbol_state(text)
         if len(state) != landscape.n:
             raise CliError(f"start state needs {landscape.n} symbols")
         return state
     width = landscape.num_variables
-    if text is None:
-        return (0,) * width
     cleaned = text.replace(",", " ").split()
     bits = tuple(int(b) for b in ("".join(cleaned) if len(cleaned) > 1 else cleaned[0]))
     if len(bits) != width:

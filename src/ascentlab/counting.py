@@ -22,8 +22,6 @@ strict ascent.
 
 from __future__ import annotations
 
-import itertools
-
 from .landscapes import Landscape
 from .symbols import (
     ADJACENT_SYMBOLS,
@@ -233,6 +231,9 @@ class SymbolCountingLandscape(Landscape):
 
     def move_deltas(self, state, variables=None) -> list[tuple]:
         self._check_state(state)
+        return self._rescan(state, variables)
+
+    def _rescan(self, state, variables):
         scan = []
         for pos in range(self.n) if variables is None else variables:
             for t in ADJACENT_SYMBOLS[state[pos]]:
@@ -249,14 +250,8 @@ class SymbolCountingLandscape(Landscape):
             for t in ADJACENT_SYMBOLS[sym]:
                 yield (pos, t)
 
-    def iter_states(self):
-        return itertools.product(SYMBOLS, repeat=self.n)
-
-    def state_count(self) -> int:
-        return 10 ** self.n
-
-    def zero_state(self) -> tuple[str, ...]:
-        return zero_state(self.n)
+    def domains(self) -> tuple:
+        return (SYMBOLS,) * self.n
 
     def format_state(self, state) -> str:
         return format_symbol_state(state)

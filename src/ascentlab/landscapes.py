@@ -10,10 +10,13 @@ lowest-variable-index tie-break policy refers to.
 ``move_deltas(state, variables=None)`` returns ``[(move, delta), ...]`` for
 every move from ``state`` in canonical order, each delta equal to
 ``delta(state, move)``; given ``variables`` (ascending), only the moves of
-those variables.  The default asks ``delta`` move by move; the VCSP
-landscape overrides it to check the assignment and read each constraint's
-table index once per scan, and the winding landscape's ``delta`` reads
-every flip of a state from one level pass.
+those variables.  It checks the state and hands the scan to the private
+``_rescan``, which the ascent engines' move table calls directly after a
+move it took: the state was checked where the ascent entered, and a move
+keeps it in its domains.  The default ``_rescan`` asks ``delta`` move by
+move; the VCSP landscape reads each constraint's table index once per scan,
+and the winding landscape's ``delta`` reads every flip of a state from one
+level pass.
 
 ``affected(var)`` names, in ascending order, every variable whose moves or
 move deltas a move on ``var`` may change: the variable itself and the
@@ -22,11 +25,18 @@ move -> delta table from step to step and, after a move on ``var``,
 rescan only ``move_deltas(state, affected(var))``.  The default, ``None``,
 means every variable: a black-box landscape gets one full scan per step.
 A landscape names a neighbourhood for every variable or for none.
+
+``domains()`` gives, per variable, the values it can take, in enumeration
+order.  The first value of each is the variable's value in ``zero_state()``;
+``iter_states`` (the product of the domains, the last variable fastest),
+``state_count`` and ``is_boolean`` are derived from it, and the local-optima
+census walks the same domains one value step at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .vcsp import SoftConstraint, VcspError, VcspInstance
 
@@ -53,6 +63,12 @@ class Landscape:
     def move_deltas(self, state, variables=None) -> list[tuple]:
         """Every move from ``state`` with its delta, in canonical order;
         only the moves of ``variables`` when given."""
+        return self._rescan(state, variables)
+
+    def _rescan(self, state, variables):
+        """``move_deltas`` without a check of ``state`` of its own: the move
+        table's refresh after a move it took, from a state checked where
+        the ascent entered.  The default asks ``delta`` move by move."""
         moves = self.moves(state)
         if variables is not None:
             wanted = set(variables)
@@ -64,14 +80,22 @@ class Landscape:
         change, ascending; None when that may be any variable."""
         return None
 
-    def iter_states(self):
+    def domains(self) -> tuple:
+        """Per variable, its values in enumeration order."""
         raise NotImplementedError
+
+    def iter_states(self):
+        return itertools.product(*self.domains())
 
     def state_count(self) -> int:
-        raise NotImplementedError
+        return math.prod(len(values) for values in self.domains())
+
+    def zero_state(self) -> tuple:
+        """The first state of ``iter_states``: every variable at its first value."""
+        return next(self.iter_states())
 
     def is_boolean(self) -> bool:
-        return False
+        return all(tuple(values) == (0, 1) for values in self.domains())
 
     def format_state(self, state) -> str:
         return "".join(str(v) for v in state)
@@ -95,6 +119,10 @@ class VcspLandscape(Landscape):
         return self.instance.delta_evaluate(state, var, value)
 
     def move_deltas(self, state, variables=None) -> list[tuple]:
+        self.instance._check_assignment(state)
+        return self._rescan(state, variables)
+
+    def _rescan(self, state, variables):
         return self.instance._move_deltas(state, self.moves(state, variables))
 
     def affected(self, var):
@@ -109,20 +137,8 @@ class VcspLandscape(Landscape):
                 if value != cur:
                     yield (var, value)
 
-    def iter_states(self):
-        return itertools.product(*(range(d) for d in self.instance.domains))
-
-    def state_count(self) -> int:
-        total = 1
-        for d in self.instance.domains:
-            total *= d
-        return total
-
-    def is_boolean(self) -> bool:
-        return all(d == 2 for d in self.instance.domains)
-
-    def zero_state(self) -> tuple[int, ...]:
-        return (0,) * self.num_variables
+    def domains(self) -> tuple:
+        return tuple(range(d) for d in self.instance.domains)
 
 
 def make_pairs_instance(n: int, alpha: int) -> VcspInstance:

@@ -33,6 +33,7 @@ from .counting import (
     SymbolCountingLandscape,
     count_end_state,
     f_cost,
+    h_cost,
     zero_state,
 )
 from .report import Report
@@ -337,18 +338,14 @@ def verify_rule_arithmetic() -> Report:
     """Mechanically evaluate every inequality chain behind the rule system
     from the shipped cost tables (exact integers, zero tolerance)."""
     rep = Report("rule arithmetic")
-    f = f_cost
-    h_values = {"i01": 1, "i1C": 5}
-
-    def hv(sym):
-        # every chain below has a plain bit above X_1, so the trigger pays
-        return h_values.get(sym, 0)
+    f, h = f_cost, h_cost
 
     for a in ("0", "1"):
+        # a plain bit sits above X_1, so the trigger pays
         _chain(
             rep, f"increment chain (rules 1-2), a={a}",
-            [f(a, "0") + hv("0"), f(a, "i01") + hv("i01"), f(a, "1") + hv("1"),
-             f(a, "i1C") + hv("i1C"), f(a, "C") + hv("C")],
+            [f(a, "0") + h(a, "0"), f(a, "i01") + h(a, "i01"), f(a, "1") + h(a, "1"),
+             f(a, "i1C") + h(a, "i1C"), f(a, "C") + h(a, "C")],
             [0, 1, 4, 5, 6],
         )
         _chain(
@@ -574,7 +571,8 @@ def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
                     f"steepest ascent halts at {format_symbol_state(state)} (step {steps})")
             return rep
         successor = rule_successor(state)
-        by_steepest = table.step(move)
+        table.step(move)
+        by_steepest = table.state
         if successor is None or successor[0] != by_steepest:
             got = "halt" if successor is None else format_symbol_state(successor[0])
             rep.add(

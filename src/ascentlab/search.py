@@ -122,6 +122,9 @@ class _MoveTable:
     ``v`` rescans only the groups of ``affected(v)``.  Otherwise it is one
     group, rescanned whole after every move.  Either way the groups chain
     into the full scan in canonical order.
+
+    The start is checked by the landscape's first full scan; the refresh
+    after a move calls ``Landscape._rescan``, which does not check it again.
     """
 
     def __init__(self, landscape: Landscape, state):
@@ -147,20 +150,31 @@ class _MoveTable:
         """The (move, delta) pairs grouped per variable, indexed by variable."""
         return self.groups if self.local else self._by_variable(self.groups[0])
 
+    def delta(self, move):
+        """The delta of ``move`` from the current state: read from the table
+        when it holds the move, else asked of the landscape."""
+        for entry, d in self.groups[move[0]] if self.local else self.groups[0]:
+            if entry == move:
+                return d
+        return self.landscape.delta(self.state, move)
+
     def step(self, move):
-        """Apply ``move`` and bring the table up to date; returns the new state."""
+        """Set ``move``'s variable to its value (a move of the table or any
+        other value of that variable's domain) and bring the table up to
+        date; returns the indices of the groups rescanned."""
         landscape = self.landscape
         self.state = state = landscape.apply(self.state, move)
         if not self.local:
-            self.groups = [landscape.move_deltas(state)]
-            return state
+            # in place, like the per-variable groups: callers may hold `groups`
+            self.groups[0] = landscape._rescan(state, None)
+            return (0,)
         affected = landscape.affected(move[0])
         groups = self.groups
         for var in affected:
             groups[var] = []
-        for entry in landscape.move_deltas(state, affected):
+        for entry in landscape._rescan(state, affected):
             groups[entry[0][0]].append(entry)
-        return state
+        return affected
 
 
 def _ascend(landscape: Landscape, start, choose, max_steps: int) -> AscentTrace:
@@ -176,7 +190,8 @@ def _ascend(landscape: Landscape, start, choose, max_steps: int) -> AscentTrace:
         move, delta = choose(table)
         if move is None:
             return AscentTrace(steps, LOCAL_OPTIMUM)
-        state = table.step(move)
+        table.step(move)
+        state = table.state
         fitness += delta
         steps.append(TraceStep(state, fitness, move, delta))
     # budget exhausted; report whether we happen to already be at the top

@@ -144,10 +144,8 @@ class VcspInstance:
         return delta
 
     def _move_deltas(self, assignment, moves) -> list[tuple]:
-        """``[(move, delta), ...]`` for in-range (var, new_value) moves: the
-        assignment is checked once, and each table index the moves need is
-        read once."""
-        self._check_assignment(assignment)
+        """``[(move, delta), ...]`` for in-range (var, new_value) moves from
+        a checked assignment: each table index the moves need is read once."""
         constraints = self.constraints
         terms_by_var = self._terms_by_var
         indices = [None] * len(constraints)

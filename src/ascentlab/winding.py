@@ -17,7 +17,6 @@ is the prefix of length 2k.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -230,14 +229,8 @@ class WindingLandscape(Landscape):
         for i, b in enumerate(state):
             yield (i, 1 - b)
 
-    def iter_states(self):
-        return itertools.product((0, 1), repeat=2 * self.n)
-
-    def state_count(self) -> int:
-        return 4 ** self.n
-
-    def is_boolean(self) -> bool:
-        return True
+    def domains(self) -> tuple:
+        return ((0, 1),) * (2 * self.n)
 
     # -- named states and closed-form gradients ------------------------------
 

@@ -51,6 +51,9 @@ def test_constant_landscape_gradient_is_zero():
 def test_gradient_rejects_non_boolean():
     with pytest.raises(UnsupportedLandscapeError):
         gradient(SymbolCountingLandscape(3), ("0", "0", "0"))
+    ternary = VcspInstance(domains=(2, 3), constraints=())
+    with pytest.raises(UnsupportedLandscapeError):
+        gradient(VcspLandscape(ternary), (0, 0))
 
 
 def test_origin_gradient_matches_closed_form():
@@ -296,6 +299,19 @@ def test_verify_pathwidth_suite_passes():
     report = verify_pathwidth(3, 6)
     assert report.passed
     assert "8-clique [0, 1, 2, 3, 4, 5, 6, 7]" in report.checks[1].detail
+
+
+def test_min_fill_in_treewidth_of_networkx_agrees():
+    # an independent upper bound; the 8-clique of every scope bounds it below
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.approximation import treewidth_min_fill_in
+
+    for n in range(3, 11):
+        graph = make_counting_boolean_instance(n).constraint_graph()
+        g = nx.Graph()
+        g.add_nodes_from(range(graph.num_vertices))
+        g.add_edges_from(graph.edges())
+        assert treewidth_min_fill_in(g)[0] == 7, n
 
 
 def test_verify_pathwidth_fires_on_a_scope_missing_one_edge():

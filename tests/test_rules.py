@@ -7,6 +7,7 @@ from collections import deque
 
 import pytest
 
+from ascentlab import counting
 from ascentlab.counting import F_NONZERO, SymbolCountingLandscape, zero_state
 from ascentlab.rules import (
     AmbiguousPriorityError,
@@ -217,10 +218,26 @@ def test_verify_rule_arithmetic_all_chains():
         assert fragment in rendered, fragment
 
 
+def test_verify_rule_arithmetic_reads_the_shipped_trigger_table(monkeypatch):
+    monkeypatch.setitem(counting.H_NONZERO, "i01", 4)
+    report = verify_rule_arithmetic()
+    assert not report.passed
+    failed = [c.label for c in report.checks if not c.ok]
+    assert "increment chain (rules 1-2), a=0" in failed
+    assert "increment chain (rules 1-2), a=1" in failed
+
+
 def test_cpp_closure_small():
     for n in (2, 3):
         report = verify_cpp_closure(n)
         assert report.passed, "\n".join(report.lines())
+
+
+@pytest.mark.parametrize("n, admissible", [(5, 714), (6, 3_132)])
+def test_cpp_closure_at_five_and_six_symbols(n, admissible):
+    report = verify_cpp_closure(n)
+    assert report.passed, "\n".join(report.lines())
+    assert f"{admissible} admissible states of {10 ** n}" in report.checks[0].detail
 
 
 def test_cpp_closure_detects_corrupted_table():
