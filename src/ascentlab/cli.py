@@ -29,7 +29,7 @@ from .search import (
     steepest_ascent,
     trace_table,
 )
-from .symbols import SYMBOLS, parse_symbol_state
+from .symbols import parse_symbol_state
 from .vcsp import VcspError, dump_instance, instance_from_obj, instance_to_obj
 from .winding import (
     SCHEDULE_PRESETS,
@@ -117,46 +117,9 @@ def _load_landscape(path: str):
     if fmt == "vcsp-instance/v1":
         instance = instance_from_obj(obj)
         if instance.metadata.get("kind") == "counting-symbol":
-            return _symbol_landscape_from_instance(instance)
+            return SymbolCountingLandscape.of_instance(instance)
         return VcspLandscape(instance)
     raise CliError(f"unrecognized document format {fmt!r}")
-
-
-def _symbol_landscape_from_instance(instance) -> SymbolCountingLandscape:
-    """Rebuild the symbol landscape from the file's tables, so edited (for
-    example deliberately corrupted) instances run with their own costs.
-
-    The landscape has one pair table for every adjacent pair and the
-    generator's weights; it is read from the lowest pair's table and the
-    trigger's X_2 = 0 row.  A file whose other tables or weights disagree
-    with those is refused rather than run with costs it does not hold."""
-    n = instance.num_variables
-    constraints = instance.constraints
-    if (instance.domains != (len(SYMBOLS),) * n or len(constraints) < 2
-            or constraints[0].scope != (1, 0) or constraints[-1].scope != (1, 0)):
-        raise CliError("not a counting-symbol instance: its first (pair) and last "
-                       "(trigger) tables must sit on (X_2, X_1) over the symbols")
-    pair = constraints[0]
-    trigger = constraints[-1]
-    f_table = {}
-    for i, a in enumerate(SYMBOLS):
-        for j, b in enumerate(SYMBOLS):
-            v = pair.values[i * 10 + j]
-            if v:
-                f_table[(a, b)] = v
-    h_table = {}
-    zero_row = SYMBOLS.index("0")
-    for j, b in enumerate(SYMBOLS):
-        v = trigger.values[zero_row * 10 + j]
-        if v:
-            h_table[b] = v
-    landscape = SymbolCountingLandscape(n, f_table=f_table, h_table=h_table)
-    if landscape.instance() != instance:
-        raise CliError(
-            "counting-symbol instance differs from the symbol landscape rebuilt "
-            "from its lowest pair table and trigger row: every pair table must "
-            "be the same, and the weights and scopes those of the generator")
-    return landscape
 
 
 def _parse_start(landscape, text: str | None):

@@ -18,9 +18,15 @@ symbol-pair constraint becomes one arity-8 constraint over two adjacent
 blocks (h folds into the lowest one).  Blocks that do not decode to a symbol
 cost 0, which makes any flip into a non-symbol pattern non-improving under
 strict ascent.
+
+The symbol landscape holds no costs of its own: it is a view of the
+symbol-level instance, and every value and delta it gives is read from the
+instance's tables.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .landscapes import Landscape
 from .symbols import (
@@ -150,14 +156,16 @@ def make_counting_boolean_instance(n: int) -> VcspInstance:
 
 
 class SymbolCountingLandscape(Landscape):
-    """Counting landscape over symbol states (display order, X_1 rightmost).
+    """Counting landscape over symbol states (display order, X_1 rightmost):
+    a symbol-codec view of a counting-symbol :class:`VcspInstance`.
 
     Moves change one symbol to an adjacent one under the 4-bit encoding
     (main <-> intermediate), which is exactly the single-bit-flip
     neighborhood of the Boolean form restricted to symbol-decodable states.
-    Deltas are computed natively from the f/h tables; the instance from
-    :func:`make_counting_symbol_instance` provides the independent
-    table-driven route for cross-checking.
+    Position ``pos`` is the instance's variable ``n - 1 - pos``, and every
+    value and delta is read from the instance's tables: the one from
+    :func:`make_counting_symbol_instance`, built on first use, or a file's
+    own through :meth:`of_instance`.
     """
 
     def __init__(self, n: int, f_table=None, h_table=None):
@@ -165,85 +173,89 @@ class SymbolCountingLandscape(Landscape):
             raise VcspError("counting landscape needs at least 2 symbol variables")
         self.n = n
         self.num_variables = n
-        self._f = dict(F_NONZERO) if f_table is None else dict(f_table)
-        self._h = dict(H_NONZERO) if h_table is None else dict(h_table)
-        # weight of the pair (state[k], state[k+1]) in display coordinates
-        self._pair_weight = tuple(4 ** (n - 2 - k) for k in range(n - 1))
+        self._tables = (f_table, h_table)
 
+    @classmethod
+    def of_instance(cls, instance: VcspInstance) -> "SymbolCountingLandscape":
+        """The view of ``instance``, whose variables must all range over the
+        10 symbols; its tables, weights and scopes may be any."""
+        n = instance.num_variables
+        if instance.domains != (len(SYMBOLS),) * n:
+            raise VcspError(
+                f"a counting-symbol instance has domain {len(SYMBOLS)} on every "
+                f"variable, got domains {list(instance.domains)}")
+        landscape = cls(n)
+        landscape.__dict__["instance"] = instance  # preset the cached property
+        return landscape
+
+    @cached_property
     def instance(self) -> VcspInstance:
-        return make_counting_symbol_instance(self.n, self._f, self._h)
+        """The counting-symbol instance the view reads, built on first use."""
+        return make_counting_symbol_instance(self.n, *self._tables)
+
+    @cached_property
+    def _affected(self) -> tuple[tuple[int, ...], ...]:
+        """Per position, the instance's neighbourhood of its variable, as
+        positions, ascending."""
+        last = self.n - 1
+        return tuple(tuple(last - var for var in reversed(neighbourhood))
+                     for neighbourhood in reversed(self.instance._neighbourhoods))
+
+    @cached_property
+    def _instance_moves(self) -> tuple[dict, ...]:
+        """Per position, per symbol there: the instance's (variable, value)
+        moves from it, in canonical order."""
+        last = self.n - 1
+        return tuple(
+            {s: tuple((last - pos, SYMBOL_INDEX[t]) for t in ADJACENT_SYMBOLS[s])
+             for s in SYMBOLS}
+            for pos in range(self.n))
+
+    @cached_property
+    def _symbol_move(self) -> dict:
+        """The symbol move that each instance move is."""
+        last = self.n - 1
+        return {(last - pos, i): (pos, t)
+                for pos in range(self.n) for i, t in enumerate(SYMBOLS)}
 
     def to_assignment(self, state: tuple[str, ...]) -> tuple[int, ...]:
-        n = self.n
-        return tuple(SYMBOL_INDEX[state[n - 1 - i]] for i in range(n))
-
-    def _fv(self, a: str, b: str) -> int:
-        return self._f.get((a, b), 0)
-
-    def _hv(self, above: str, last: str) -> int:
-        if above in ("0", "1"):
-            return self._h.get(last, 0)
-        return 0
-
-    def _check_length(self, state) -> None:
-        if len(state) != self.n:
-            raise VcspError(f"state has {len(state)} symbols, expected {self.n}")
+        """The instance's assignment of a symbol state: value indices, X_1 first."""
+        return tuple(map(SYMBOL_INDEX.__getitem__, reversed(state)))
 
     def _check_state(self, state) -> None:
-        self._check_length(state)
+        if len(state) != self.n:
+            raise VcspError(f"state has {len(state)} symbols, expected {self.n}")
         for sym in state:
             if sym not in SYMBOL_INDEX:
                 raise VcspError(f"{sym!r} is not a symbol of the alphabet")
 
     def evaluate(self, state) -> int:
         self._check_state(state)
-        total = 0
-        f = self._f
-        for k in range(self.n - 1):
-            total += self._pair_weight[k] * f.get((state[k], state[k + 1]), 0)
-        total += self._hv(state[-2], state[-1])
-        return total
+        return self.instance.evaluate(self.to_assignment(state))
 
     def delta(self, state, move) -> int:
-        # Only the length is checked: the closure oracle calls this on
-        # every move of every enumerated state.
-        self._check_length(state)
+        self._check_state(state)
         pos, new = move
-        old = state[pos]
-        if new == old:
-            return 0
-        d = 0
-        f = self._f
-        if pos > 0:
-            w = self._pair_weight[pos - 1]
-            above = state[pos - 1]
-            d += w * (f.get((above, new), 0) - f.get((above, old), 0))
-        if pos < self.n - 1:
-            w = self._pair_weight[pos]
-            below = state[pos + 1]
-            d += w * (f.get((new, below), 0) - f.get((old, below), 0))
-        # trigger constraint on the last two positions
-        if pos == self.n - 1:
-            d += self._hv(state[-2], new) - self._hv(state[-2], old)
-        elif pos == self.n - 2:
-            d += self._hv(new, state[-1]) - self._hv(old, state[-1])
-        return d
+        if new not in SYMBOL_INDEX:
+            raise VcspError(f"{new!r} is not a symbol of the alphabet")
+        return self.instance.delta_evaluate(
+            self.to_assignment(state), self.n - 1 - pos, SYMBOL_INDEX[new])
 
     def move_deltas(self, state, variables=None) -> list[tuple]:
         self._check_state(state)
         return self._rescan(state, variables)
 
     def _rescan(self, state, variables):
-        scan = []
+        instance_moves = self._instance_moves
+        moves = []
         for pos in range(self.n) if variables is None else variables:
-            for t in ADJACENT_SYMBOLS[state[pos]]:
-                move = (pos, t)
-                scan.append((move, self.delta(state, move)))
-        return scan
+            moves += instance_moves[pos][state[pos]]
+        symbol_move = self._symbol_move
+        scan = self.instance._move_deltas(self.to_assignment(state), moves)
+        return [(symbol_move[move], d) for move, d in scan]
 
     def affected(self, var):
-        # every cost term joins adjacent positions
-        return range(max(var - 1, 0), min(var + 2, self.n))
+        return self._affected[var]
 
     def moves(self, state):
         for pos, sym in enumerate(state):

@@ -14,9 +14,9 @@ those variables.  It checks the state and hands the scan to the private
 ``_rescan``, which the ascent engines' move table calls directly after a
 move it took: the state was checked where the ascent entered, and a move
 keeps it in its domains.  The default ``_rescan`` asks ``delta`` move by
-move; the VCSP landscape reads each constraint's table index once per scan,
-and the winding landscape's ``delta`` reads every flip of a state from one
-level pass.
+move; the VCSP landscape, and the symbol counting landscape that views one,
+read each constraint's table index once per scan, and the winding
+landscape's ``delta`` reads every flip of a state from one level pass.
 
 ``affected(var)`` names, in ascending order, every variable whose moves or
 move deltas a move on ``var`` may change: the variable itself and the

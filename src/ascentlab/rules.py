@@ -489,8 +489,8 @@ def verify_cpp_closure(n: int, landscape: SymbolCountingLandscape | None = None,
         if not classify(state).admissible:
             continue
         admissible_count += 1
-        for move in landscape.moves(state):
-            if landscape.delta(state, move) > 0:
+        for move, d in landscape.move_deltas(state):
+            if d > 0:
                 successor = landscape.apply(state, move)
                 if not classify(successor).admissible:
                     violations.append((state, successor))
@@ -512,11 +512,7 @@ def verify_cpp_closure(n: int, landscape: SymbolCountingLandscape | None = None,
         rep.add("improving flips match rules on the counting path", False, str(exc))
         return rep
     for state in path:
-        improving = {
-            (move[0], move[1])
-            for move in landscape.moves(state)
-            if landscape.delta(state, move) > 0
-        }
+        improving = {move for move, d in landscape.move_deltas(state) if d > 0}
         by_rule = {
             (len(state) - app.variable, app.new_symbol)
             for app in applicable_rules(state)

@@ -230,7 +230,7 @@ def first_improvement_ascent(landscape: Landscape, start, seed: int,
 
 
 def is_local_maximum(landscape: Landscape, state) -> bool:
-    return all(landscape.delta(state, m) <= 0 for m in landscape.moves(state))
+    return all(d <= 0 for _, d in landscape.move_deltas(state))
 
 
 def trace_table(landscape: Landscape, trace: AscentTrace, sep: str = "\t") -> str:

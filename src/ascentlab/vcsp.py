@@ -147,6 +147,7 @@ class VcspInstance:
         """``[(move, delta), ...]`` for in-range (var, new_value) moves from
         a checked assignment: each table index the moves need is read once."""
         constraints = self.constraints
+        domains = self.domains
         terms_by_var = self._terms_by_var
         indices = [None] * len(constraints)
         scan = []
@@ -157,8 +158,11 @@ class VcspInstance:
             for pos, stride in terms_by_var[var]:
                 c = constraints[pos]
                 before = indices[pos]
-                if before is None:
-                    before = indices[pos] = self._table_index(c, assignment)
+                if before is None:  # _table_index, inlined: this is the scan's inner loop
+                    before = 0
+                    for v in c.scope:
+                        before = before * domains[v] + assignment[v]
+                    indices[pos] = before
                 delta += c.weight * (c.values[before + step * stride] - c.values[before])
             scan.append((move, delta))
         return scan

@@ -89,10 +89,10 @@ def test_run_edited_instance_uses_its_own_tables(tmp_path, capsys):
     assert steps < healthy_steps
 
 
-def test_run_refuses_an_instance_whose_tables_differ(tmp_path, capsys):
+def test_run_scores_an_instance_whose_tables_differ_by_its_own_tables(tmp_path, capsys):
     # one pair table and one weight edited: the file's own tables score
-    # <0 C 0 0 0> as 6, which no symbol landscape with a single pair table
-    # reproduces, so the run is refused instead of printing fitness 592
+    # <0 C 0 0 0> as 6, where a single pair table copied to every pair and
+    # the generator's weights would give 592
     inst = tmp_path / "cs5.json"
     main(["gen", "counting-symbol", "--n", "5", "-o", str(inst)])
     capsys.readouterr()
@@ -105,21 +105,47 @@ def test_run_refuses_an_instance_whose_tables_differ(tmp_path, capsys):
     start = parse_symbol_state("0 C 0 0 0")
     own = load_instance(inst).evaluate(SymbolCountingLandscape(5).to_assignment(start))
     assert own == 6
+    assert SymbolCountingLandscape(5).evaluate(start) == 592
     code = main(["run", str(inst), "--start", "0 C 0 0 0", "--max-steps", "0"])
     captured = capsys.readouterr()
-    assert code == EXIT_INVALID
-    assert captured.out == "" and "differs" in captured.err
+    assert code == EXIT_BUDGET
+    assert captured.err == ""
+    assert "final_fitness=6 " in captured.out
 
 
-def test_run_refuses_a_counting_file_without_the_pair_layout(tmp_path, capsys):
+def test_run_scores_a_counting_file_without_the_pair_layout_by_its_own_tables(
+        tmp_path, capsys):
     inst = tmp_path / "cs3.json"
     main(["gen", "counting-symbol", "--n", "3", "-o", str(inst)])
     capsys.readouterr()
     obj = json.loads(inst.read_text())
     obj["constraints"] = obj["constraints"][1:]
     inst.write_text(json.dumps(obj))
+    assert main(["run", str(inst), "--max-steps", "10"]) == EXIT_OK
+    out = capsys.readouterr().out
+    from ascentlab.symbols import parse_symbol_state
+
+    final = parse_symbol_state(out.split("final_state=")[1])
+    fitness = int(out.split("final_fitness=")[1].split()[0])
+    own = load_instance(inst).evaluate(SymbolCountingLandscape(3).to_assignment(final))
+    assert fitness == own
+
+
+def test_run_refuses_a_counting_file_with_a_domain_of_nine(tmp_path, capsys):
+    # a valid instance (its tables shrunk to match), but X_1 has no "iCX"
+    inst = tmp_path / "cs3.json"
+    main(["gen", "counting-symbol", "--n", "3", "-o", str(inst)])
+    capsys.readouterr()
+    obj = json.loads(inst.read_text())
+    obj["domains"][0] = 9
+    for c in obj["constraints"]:
+        if c["scope"][-1] == 0:
+            c["values"] = [v for k, v in enumerate(c["values"]) if k % 10 != 9]
+    inst.write_text(json.dumps(obj))
+    assert load_instance(inst).domains == (9, 10, 10)
     assert main(["run", str(inst), "--max-steps", "10"]) == EXIT_INVALID
-    assert "counting-symbol" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and "domain 10 on every variable" in captured.err
 
 
 def test_run_tie_exit_code(tmp_path, capsys):

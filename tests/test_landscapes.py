@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ascentlab.cli import main
 from ascentlab.counting import (
     SymbolCountingLandscape,
     make_counting_boolean_instance,
@@ -25,7 +32,9 @@ from ascentlab.symbols import (
     encode_state,
     parse_symbol_state,
 )
-from ascentlab.vcsp import VcspError
+from ascentlab.vcsp import SoftConstraint, VcspError, VcspInstance, dump_instance
+
+from test_move_table import table_mismatch
 
 
 # -- encoding ----------------------------------------------------------------
@@ -116,6 +125,9 @@ def test_symbol_landscape_rejects_invalid_states():
         landscape.delta(("0",) * 3, (0, "i01"))
     with pytest.raises(VcspError):
         landscape.delta(("0",) * 5, (0, "i01"))
+    for move in ((0, "Q"), (4, "i01"), (-1, "i01")):
+        with pytest.raises(VcspError):
+            landscape.delta(("0",) * 4, move)
     for state in (("0",) * 3, ("0",) * 5, ("0", "Q", "0", "0")):
         with pytest.raises(VcspError):
             landscape.move_deltas(state)
@@ -155,6 +167,73 @@ def test_trigger_pays_only_under_plain_bits():
     # 4 f(0,1) + h(1, i1C) = 16 + 5, versus 4 f(0,C) + 0 with the gate shut
     assert landscape.evaluate(("0", "1", "i1C")) == 21
     assert landscape.evaluate(("0", "C", "i1C")) == 24
+
+
+def edited_counting_instance(rng: random.Random, n: int) -> VcspInstance:
+    """A counting-symbol instance whose tables are edited independently, the
+    trigger's included, with some weights redrawn and, at times, a constraint
+    joining two symbols that are not adjacent."""
+    base = make_counting_symbol_instance(n)
+    constraints = []
+    for c in base.constraints:
+        values = list(c.values)
+        for _ in range(rng.randint(1, 8)):
+            values[rng.randrange(len(values))] = rng.randint(0, 30)
+        weight = rng.randint(0, 4 ** (n - 1)) if rng.random() < 0.5 else c.weight
+        constraints.append(SoftConstraint(c.scope, weight, tuple(values)))
+    if n > 2 and rng.random() < 0.5:
+        low = rng.randrange(n - 2)
+        scope = (rng.randrange(low + 2, n), low)
+        constraints.append(SoftConstraint(
+            scope, rng.randint(1, 9), tuple(rng.randint(0, 9) for _ in range(100))))
+    return VcspInstance(base.domains, tuple(constraints), dict(base.metadata))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2 ** 32))
+def test_view_of_an_edited_instance_reads_its_tables(n, seed):
+    rng = random.Random(seed)
+    instance = edited_counting_instance(rng, n)
+    landscape = SymbolCountingLandscape.of_instance(instance)
+
+    def value(state):
+        return instance.evaluate(landscape.to_assignment(state))
+
+    for _ in range(20):
+        state = tuple(rng.choice(SYMBOLS) for _ in range(n))
+        assert landscape.evaluate(state) == value(state)
+        assert landscape.move_deltas(state) == [
+            (move, value(landscape.apply(state, move)) - value(state))
+            for move in landscape.moves(state)]
+    assert table_mismatch(landscape, state, rng, 30) is None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "edited.json")
+        dump_instance(instance, path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(["run", path, "--start", " ".join(state), "--max-steps", "0"])
+    assert f"final_fitness={value(state)} " in out.getvalue()
+
+
+def test_symbol_landscape_builds_its_instance_on_first_use(monkeypatch):
+    built = []
+    post_init = VcspInstance.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(VcspInstance, "__post_init__", counted)
+    landscape = SymbolCountingLandscape(12)
+    start = landscape.zero_state()
+    assert built == []
+    landscape.evaluate(start)
+    assert len(built) == 1
+    landscape.move_deltas(start)
+    landscape.delta(start, (0, "i01"))
+    assert len(built) == 1
+    SymbolCountingLandscape(12).move_deltas(start)
+    assert len(built) == 2
 
 
 # -- Boolean lift ---------------------------------------------------------------
