@@ -236,9 +236,11 @@ class SymbolCountingLandscape(Landscape):
     def delta(self, state, move) -> int:
         self._check_state(state)
         pos, new = move
+        if not 0 <= pos < self.n:
+            raise VcspError(f"position {pos} out of range for {self.n} symbols")
         if new not in SYMBOL_INDEX:
             raise VcspError(f"{new!r} is not a symbol of the alphabet")
-        return self.instance.delta_evaluate(
+        return self.instance._delta(
             self.to_assignment(state), self.n - 1 - pos, SYMBOL_INDEX[new])
 
     def move_deltas(self, state, variables=None) -> list[tuple]:

@@ -20,9 +20,14 @@ landscape's ``delta`` reads every flip of a state from one level pass.
 
 ``affected(var)`` names, in ascending order, every variable whose moves or
 move deltas a move on ``var`` may change: the variable itself and the
-variables that share a cost term with it.  The ascent engines keep a
-move -> delta table from step to step and, after a move on ``var``,
-rescan only ``move_deltas(state, affected(var))``.  The default, ``None``,
+variables that share a cost term with it.  Sharing a cost term is
+symmetric, so the contract also holds the other way round: ``var``'s own
+moves and deltas depend only on the values of ``affected(var)``.  The
+ascent engines rely on both directions.  They keep a move -> delta table
+from step to step and, after a move on ``var``, replace only the moves of
+``affected(var)``; and they memoise each variable's moves under the values
+of its ``affected`` variables, rescanning through ``move_deltas(state,
+variables)`` only those whose values are new.  The default, ``None``,
 means every variable: a black-box landscape gets one full scan per step.
 A landscape names a neighbourhood for every variable or for none.
 
@@ -77,7 +82,9 @@ class Landscape:
 
     def affected(self, var):
         """The variables whose moves or deltas a move on ``var`` may
-        change, ascending; None when that may be any variable."""
+        change, ascending; None when that may be any variable.  They are
+        also the variables whose values ``var``'s moves and deltas depend
+        on."""
         return None
 
     def domains(self) -> tuple:

@@ -105,6 +105,18 @@ class RuleApplication:
         return state[:pos] + (self.new_symbol,) + state[pos + 1:]
 
 
+def _index_by_guard(kind: str) -> dict[tuple, list[Rule]]:
+    index: dict[tuple, list[Rule]] = {}
+    for rule in RULES.values():
+        if rule.kind == kind:
+            index.setdefault(rule.guard, []).append(rule)
+    return index
+
+
+_LAST_RULES = _index_by_guard("last")  # by (last,)
+_PAIR_RULES = _index_by_guard("pair")  # by (above, below)
+
+
 def applicable_rules(state: tuple[str, ...]) -> list[RuleApplication]:
     """All rule instances whose guards match, lowest variable first.
 
@@ -114,19 +126,15 @@ def applicable_rules(state: tuple[str, ...]) -> list[RuleApplication]:
     """
     n = len(state)
     out = []
-    last = state[n - 1]
     if n == 1 or state[n - 2] in ("0", "1"):
         # the X_2 guard of rule groups 1-2; vacuous for a lone variable
-        for rule in RULES.values():
-            if rule.kind == "last" and rule.guard == (last,):
-                out.append(RuleApplication(rule.rule_id, 1, rule.new_symbol))
-    for k in range(n - 1):  # display pair (state[k], state[k+1]) = (X_{i+1}, X_i)
+        for rule in _LAST_RULES.get((state[n - 1],), ()):
+            out.append(RuleApplication(rule.rule_id, 1, rule.new_symbol))
+    for k, pair in enumerate(zip(state, state[1:])):  # (X_{i+1}, X_i) = (state[k], state[k+1])
         above_var = n - k  # 1-based variable index of state[k]
-        pair = (state[k], state[k + 1])
-        for rule in RULES.values():
-            if rule.kind == "pair" and rule.guard == pair:
-                var = above_var if rule.changes == "above" else above_var - 1
-                out.append(RuleApplication(rule.rule_id, var, rule.new_symbol))
+        for rule in _PAIR_RULES.get(pair, ()):
+            var = above_var if rule.changes == "above" else above_var - 1
+            out.append(RuleApplication(rule.rule_id, var, rule.new_symbol))
     out.sort(key=lambda a: (a.variable, a.rule_id))
     return out
 
@@ -146,7 +154,11 @@ def rule_successor(state: tuple[str, ...]):
     reachable from the all-zero state, and the oracles prove it rather than
     assume it.
     """
-    candidates = applicable_rules(state)
+    return _successor(state, applicable_rules(state))
+
+
+def _successor(state, candidates):
+    """``rule_successor`` of ``state`` given its ``applicable_rules``."""
     if not candidates:
         return None
     groups = [RULES[c.rule_id].group for c in candidates]
@@ -550,10 +562,8 @@ def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
     table = _MoveTable(landscape, state)
     while state != end:
         improving = {m for m, d in table.entries() if d > 0}
-        by_rule = {
-            (len(state) - app.variable, app.new_symbol)
-            for app in applicable_rules(state)
-        }
+        candidates = applicable_rules(state)
+        by_rule = {(len(state) - app.variable, app.new_symbol) for app in candidates}
         if improving != by_rule:
             rep.add(
                 "lockstep", False,
@@ -566,7 +576,7 @@ def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
             rep.add("lockstep", False,
                     f"steepest ascent halts at {format_symbol_state(state)} (step {steps})")
             return rep
-        successor = rule_successor(state)
+        successor = _successor(state, candidates)
         table.step(move)
         by_steepest = table.state
         if successor is None or successor[0] != by_steepest:

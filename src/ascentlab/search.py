@@ -12,6 +12,7 @@ are exponential by design, so the caller must say what budget they mean.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 
@@ -119,12 +120,17 @@ class _MoveTable:
 
     When the landscape names neighbourhoods (``Landscape.affected``), the
     table holds one group of (move, delta) pairs per variable, and a move on
-    ``v`` rescans only the groups of ``affected(v)``.  Otherwise it is one
-    group, rescanned whole after every move.  Either way the groups chain
-    into the full scan in canonical order.
+    ``v`` replaces only the groups of ``affected(v)``.  A variable's group
+    depends only on the values of its own ``affected`` variables, so the
+    table memoises each group under those values: a group whose values
+    were seen before in this table is reinstalled, and the rest are
+    rescanned together.  Otherwise it is one group, rescanned whole after
+    every move.  Either way the groups chain into the full scan in
+    canonical order, and no group list changes after the step that built it.
 
     The start is checked by the landscape's first full scan; the refresh
     after a move calls ``Landscape._rescan``, which does not check it again.
+    The memo belongs to the table and goes with it.
     """
 
     def __init__(self, landscape: Landscape, state):
@@ -132,7 +138,15 @@ class _MoveTable:
         self.state = state
         self.local = landscape.affected(0) is not None
         scan = landscape.move_deltas(state)
-        self.groups = self._by_variable(scan) if self.local else [scan]
+        if self.local:
+            self.groups = self._by_variable(scan)
+            # per variable: the values of its neighbourhood, and its groups by them
+            self._keys = [operator.itemgetter(*landscape.affected(var))
+                          for var in range(landscape.num_variables)]
+            self._memo = [{key(state): group}
+                          for key, group in zip(self._keys, self.groups)]
+        else:
+            self.groups = [scan]
 
     def _by_variable(self, scan):
         groups = [[] for _ in range(self.landscape.num_variables)]
@@ -161,7 +175,7 @@ class _MoveTable:
     def step(self, move):
         """Set ``move``'s variable to its value (a move of the table or any
         other value of that variable's domain) and bring the table up to
-        date; returns the indices of the groups rescanned."""
+        date; returns the indices of the groups replaced."""
         landscape = self.landscape
         self.state = state = landscape.apply(self.state, move)
         if not self.local:
@@ -169,11 +183,19 @@ class _MoveTable:
             self.groups[0] = landscape._rescan(state, None)
             return (0,)
         affected = landscape.affected(move[0])
-        groups = self.groups
+        groups, keys, memo = self.groups, self._keys, self._memo
+        misses = []
         for var in affected:
-            groups[var] = []
-        for entry in landscape._rescan(state, affected):
-            groups[entry[0][0]].append(entry)
+            key = keys[var](state)
+            group = memo[var].get(key)
+            if group is None:
+                misses.append(var)
+                groups[var] = memo[var][key] = []  # filled by the rescan below
+            else:
+                groups[var] = group
+        if misses:
+            for entry in landscape._rescan(state, misses):
+                groups[entry[0][0]].append(entry)
         return affected
 
 

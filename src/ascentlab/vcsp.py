@@ -133,6 +133,10 @@ class VcspInstance:
             raise VcspError(f"variable index {var} out of range")
         if not 0 <= new_value < self.domains[var]:
             raise VcspError(f"value {new_value} out of domain range for variable {var}")
+        return self._delta(assignment, var, new_value)
+
+    def _delta(self, assignment, var: int, new_value: int) -> int:
+        """``delta_evaluate`` of an in-range move from a checked assignment."""
         step = new_value - assignment[var]
         if step == 0:
             return 0

@@ -157,6 +157,10 @@ def test_counting_landscape_delta_matches_instance_delta():
         expected = inst.delta_evaluate(
             landscape.to_assignment(state), var, SYMBOLS.index(new))
         assert landscape.delta(state, (pos, new)) == expected
+        # any symbol, as the census's Gray-code steps ask, not only a move
+        new = rng.choice(SYMBOLS)
+        assert landscape.delta(state, (pos, new)) == (
+            landscape.evaluate(landscape.apply(state, (pos, new))) - landscape.evaluate(state))
 
 
 def test_trigger_pays_only_under_plain_bits():

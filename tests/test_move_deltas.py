@@ -243,8 +243,9 @@ def test_steepest_choice_reports_the_same_tie_as_steepest_move():
 # -- the lockstep oracle computes each delta once -------------------------------
 
 def test_lockstep_reads_each_delta_once():
-    # one full scan of the start, then per step only the moves of the
-    # flipped position and its neighbours
+    # one full scan of the start, then per step only the moves of those
+    # neighbours of the flipped position whose own neighbourhood takes
+    # values not seen before on the path
     class Counted(SymbolCountingLandscape):
         scanned = 0
 
@@ -263,7 +264,17 @@ def test_lockstep_reads_each_delta_once():
     healthy = SymbolCountingLandscape(n)
     steps = steepest_ascent(healthy, zero_state(n), max_steps=2 ** (n + 4)).steps
     to_end = [s.state for s in steps].index(count_end_state(n))
-    rescanned = sum(
-        len(healthy.move_deltas(s.state, healthy.affected(s.move[0])))
-        for s in steps[1:to_end + 1])
+
+    def seen_key(state, var):
+        return var, tuple(state[q] for q in healthy.affected(var))
+
+    seen = {seen_key(steps[0].state, var) for var in range(n)}
+    rescanned = 0
+    for s in steps[1:to_end + 1]:
+        for var in healthy.affected(s.move[0]):
+            key = seen_key(s.state, var)
+            if key not in seen:
+                seen.add(key)
+                rescanned += len(healthy.move_deltas(s.state, (var,)))
+    assert 0 < rescanned
     assert landscape.scanned == len(healthy.move_deltas(zero_state(n))) + rescanned

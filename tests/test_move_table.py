@@ -1,6 +1,7 @@
 """The ascent loop's move -> delta table: after every step it equals a fresh
-scan on every landscape family, a neighbourhood narrowed below the true one
-is caught, and first-improvement over the table takes the same path as the
+scan on every landscape family, also on walks that revisit states and so
+reinstall memoised groups, a neighbourhood narrowed below the true one is
+caught, and first-improvement over the table takes the same path as the
 per-move loop it replaced."""
 
 from __future__ import annotations
@@ -29,19 +30,62 @@ from ascentlab.winding import StepSchedule, WindingLandscape
 from conftest import random_assignment, random_instance
 
 
+def table_differs(landscape, table):
+    """Whether the table differs from a fresh ``move_deltas`` scan."""
+    if list(table.entries()) != landscape.move_deltas(table.state):
+        return True
+    groups = table.by_variable()
+    return any(move[0] != var for var, group in enumerate(groups) for move, _ in group)
+
+
 def table_mismatch(landscape, start, rng, steps):
     """The number of random moves after which the table first differs from
     a fresh ``move_deltas`` scan, or None if it never does."""
     table = _MoveTable(landscape, start)
     for i in range(steps + 1):
-        fresh = landscape.move_deltas(table.state)
-        if list(table.entries()) != fresh:
+        if table_differs(landscape, table):
             return i
-        groups = table.by_variable()
-        if any(move[0] != var for var, group in enumerate(groups) for move, _ in group):
-            return i
-        table.step(rng.choice(fresh)[0])
+        table.step(rng.choice(list(table.entries()))[0])
     return None
+
+
+def revisiting_walk(landscape, start, rng, rounds):
+    """A walk on one table that revisits states: per round a random move,
+    its undo and a random move kept; every fifth round instead restarts
+    from a random state, one variable at a time.  Returns the number of
+    steps after which the table first differs from a fresh scan (None if
+    it never does) and the memo hits: groups replaced without a rescan."""
+    rescan = landscape._rescan
+    rescanned = 0
+
+    def counted(state, variables):
+        nonlocal rescanned
+        if variables is not None:
+            rescanned += len(variables)
+        return rescan(state, variables)
+
+    landscape._rescan = counted
+    try:
+        table = _MoveTable(landscape, start)
+        domains = landscape.domains()
+        replaced = steps = 0
+        if table_differs(landscape, table):
+            return steps, 0
+        for r in range(rounds):
+            if r % 5 == 4:
+                plan = [(var, rng.choice(values)) for var, values in enumerate(domains)]
+            else:
+                moves = [move for move, _ in table.entries()]
+                move = rng.choice(moves)
+                plan = [move, (move[0], table.state[move[0]]), rng.choice(moves)]
+            for move in plan:
+                replaced += len(table.step(move))
+                steps += 1
+                if table_differs(landscape, table):
+                    return steps, replaced - rescanned
+        return None, replaced - rescanned
+    finally:
+        del landscape._rescan
 
 
 class Narrowed:
@@ -104,6 +148,32 @@ def test_table_on_winding(n, seed):
     assert table_mismatch(landscape, start, rng, 40) is None
 
 
+# -- the memo: revisited neighbourhoods reinstall their groups ----------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_memo_on_revisiting_walks_of_random_instances(seed):
+    rng = random.Random(seed)
+    instance = random_instance(rng, max_domain=5)
+    landscape = VcspLandscape(instance)
+    mismatch, hits = revisiting_walk(landscape, random_assignment(rng, instance), rng, 30)
+    assert mismatch is None and hits > 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_memo_on_revisiting_walks_of_the_counting_landscapes(seed):
+    rng = random.Random(seed)
+    n = 2 + seed
+    symbols = SymbolCountingLandscape(n)
+    start = tuple(rng.choice(SYMBOLS) for _ in range(n))
+    mismatch, hits = revisiting_walk(symbols, start, rng, 40)
+    assert mismatch is None and hits > 0
+    bits = boolean_lift(min(n, 5))
+    start = tuple(rng.randint(0, 1) for _ in range(bits.num_variables))
+    mismatch, hits = revisiting_walk(bits, start, rng, 40)
+    assert mismatch is None and hits > 0
+
+
 def test_scan_of_some_variables_is_the_full_scan_restricted_to_them():
     rng = random.Random(8)
     instance = random_instance(rng)
@@ -138,6 +208,8 @@ def test_vcsp_neighbourhood_is_the_constraint_graph_neighbourhood():
 ])
 def test_table_check_fires_on_a_narrowed_neighbourhood(landscape, start):
     assert table_mismatch(landscape, start, random.Random(1), 60) is not None
+    # a memo hit does not hide the narrowed neighbourhood
+    assert revisiting_walk(landscape, start, random.Random(1), 60)[0] is not None
 
 
 # -- first-improvement over the table equals the per-move loop ----------------

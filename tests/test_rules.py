@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from collections import deque
 
 import pytest
@@ -13,6 +14,7 @@ from ascentlab.rules import (
     AmbiguousPriorityError,
     INTERMEDIATE_FAMILIES,
     RULES,
+    RuleApplication,
     applicable_rules,
     classify,
     counting_path,
@@ -109,6 +111,32 @@ def test_applicable_rules_examples():
     # over all of {01}*CC{01}*0 additionally picks up 1a and 3a
     apps = applicable_rules(S("0 C C 0"))
     assert [(a.rule_id, a.variable) for a in apps] == [("5a", 2), ("4a", 4)]
+
+
+def applicable_by_scan(state):
+    """``applicable_rules`` by testing every rule at every position."""
+    n = len(state)
+    out = []
+    for rule in RULES.values():
+        if rule.kind == "last":
+            if (n == 1 or state[n - 2] in ("0", "1")) and rule.guard == (state[n - 1],):
+                out.append(RuleApplication(rule.rule_id, 1, rule.new_symbol))
+            continue
+        for k in range(n - 1):
+            if rule.guard == (state[k], state[k + 1]):
+                var = n - k if rule.changes == "above" else n - k - 1
+                out.append(RuleApplication(rule.rule_id, var, rule.new_symbol))
+    return sorted(out, key=lambda a: (a.variable, a.rule_id))
+
+
+def test_indexed_rule_match_equals_a_scan_of_every_rule():
+    for n in range(1, 5):
+        for state in itertools.product(SYMBOLS, repeat=n):
+            assert applicable_rules(state) == applicable_by_scan(state), state
+    rng = random.Random(12)
+    for _ in range(500):
+        state = tuple(rng.choice(SYMBOLS) for _ in range(12))
+        assert applicable_rules(state) == applicable_by_scan(state), state
 
 
 def test_applicability_tables_reproduced_as_family_unions():
