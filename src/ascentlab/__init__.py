@@ -89,8 +89,6 @@ from .winding import (
     StepSchedule,
     WindingError,
     WindingLandscape,
-    dump_winding,
-    load_winding,
     winding_from_obj,
     winding_to_obj,
 )

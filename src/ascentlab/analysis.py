@@ -79,17 +79,6 @@ class DegreeBoundReport:
     rows: tuple[DegreeBoundRow, ...]
     total: int  # sum of the per-pair bounds
 
-    def table(self, sep: str = "\t") -> str:
-        lines = [sep.join(["pair", "differing_variables", "degree_lower_bound"])]
-        for i, r in enumerate(self.rows):
-            lines.append(sep.join([
-                str(i),
-                ",".join(str(v) for v in r.differing),
-                str(r.bound),
-            ]))
-        lines.append(f"# total{sep}{self.total}")
-        return "\n".join(lines) + "\n"
-
 
 def degree_bound_report(landscape: Landscape, pairs) -> DegreeBoundReport:
     """For each (x, y) pair, the flow-change lower bound on the total degree

@@ -37,7 +37,7 @@ from .counting import (
     zero_state,
 )
 from .report import Report
-from .search import _MoveTable, steepest_choice
+from .search import TieError, _MoveTable, _steepest, _walk
 from .symbols import format_symbol_state
 
 
@@ -259,10 +259,6 @@ class AdmissibleClass:
     kind: str | None = None        # "main" or "intermediate"
     family: str | None = None
     main_index: int | None = None  # 1..6 for the main families
-
-    @property
-    def inadmissible(self) -> bool:
-        return not self.admissible
 
 
 INADMISSIBLE = AdmissibleClass(False)
@@ -549,8 +545,9 @@ def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
     fail-on-tie and the prioritized rules must produce the same state
     sequence up to the counting path's endpoint 01^(N-1), with the improving
     flips at every visited state exactly the guard-matching transitions.
-    Both sets come from the ascent loop's move table, which after each step
-    recomputes only the deltas near the flipped position."""
+    Both sets come from the move table of steepest ascent's own walk, which
+    after each step recomputes only the deltas near the flipped position.
+    A tie or an ambiguous priority is reported as a failed check."""
     if landscape is None:
         landscape = SymbolCountingLandscape(n)
     if budget is None:
@@ -560,6 +557,7 @@ def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
     rep = Report(f"steepest-ascent / rule lockstep, N={n}")
     steps = 0
     table = _MoveTable(landscape, state)
+    walk = _walk(table, _steepest)  # fail-on-tie
     while state != end:
         improving = {m for m, d in table.entries() if d > 0}
         candidates = applicable_rules(state)
@@ -571,13 +569,16 @@ def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
                 f"(step {steps}): improving-only={sorted(improving - by_rule)} "
                 f"rule-only={sorted(by_rule - improving)}")
             return rep
-        move, _ = steepest_choice(state, table.entries())  # fail-on-tie
-        if move is None:
+        if not improving:
             rep.add("lockstep", False,
                     f"steepest ascent halts at {format_symbol_state(state)} (step {steps})")
             return rep
-        successor = _successor(state, candidates)
-        table.step(move)
+        try:
+            next(walk)
+            successor = _successor(state, candidates)
+        except (TieError, AmbiguousPriorityError) as exc:
+            rep.add("lockstep", False, f"{exc} (step {steps})")
+            return rep
         by_steepest = table.state
         if successor is None or successor[0] != by_steepest:
             got = "halt" if successor is None else format_symbol_state(successor[0])

@@ -11,6 +11,7 @@ are exponential by design, so the caller must say what budget they mean.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -45,10 +46,6 @@ class TraceStep:
     move: tuple | None  # (variable, new_value); None on the start record
     delta: int
 
-    @property
-    def flipped_variable(self):
-        return None if self.move is None else self.move[0]
-
 
 @dataclass
 class AscentTrace:
@@ -71,47 +68,24 @@ class AscentTrace:
         return [s.state for s in self.steps]
 
 
-def _maximal_moves(scan):
-    """All strictly improving moves of maximal delta in a ``move_deltas``
-    scan, in scan order, plus that delta (0 and [] when none improves)."""
+def _steepest(table, policy=FAIL_ON_TIE):
+    """Steepest ascent's move from ``table.state``: the strictly improving
+    move of maximal delta, as (move, delta), or (None, 0) at a local maximum.
+    Several maximal moves are a tie, settled by ``policy``: the first in
+    canonical move order, or a ``TieError`` under fail-on-tie."""
     best_delta = 0
     best: list[tuple] = []
-    for move, d in scan:
+    for move, d in table.entries():
         if d > best_delta:
             best_delta = d
             best = [move]
         elif d == best_delta and d > 0:
             best.append(move)
-    return best, best_delta
-
-
-def _steepest_of(state, moves, delta, policy):
-    """Steepest ascent's pick among the maximal ``moves`` of ``state``."""
-    if policy not in TIE_POLICIES:
-        raise ValueError(f"unknown tie policy {policy!r}")
-    if not moves:
+    if not best:
         return None, 0
-    if len(moves) > 1 and policy == FAIL_ON_TIE:
-        raise TieError(state, moves, delta)
-    return moves[0], delta
-
-
-def best_moves(landscape: Landscape, state):
-    """All strictly improving moves of maximal delta, in canonical move
-    order, plus that delta (0 and [] at a local maximum)."""
-    return _maximal_moves(landscape.move_deltas(state))
-
-
-def steepest_choice(state, scan, policy: str = FAIL_ON_TIE):
-    """The move steepest ascent takes from ``state`` given its
-    ``move_deltas`` scan: (move, delta), or (None, 0) at a local maximum."""
-    return _steepest_of(state, *_maximal_moves(scan), policy)
-
-
-def steepest_move(landscape: Landscape, state, policy: str = FAIL_ON_TIE):
-    """The move steepest ascent takes from ``state``, or None at a local
-    maximum.  Returns (move, delta)."""
-    return _steepest_of(state, *best_moves(landscape, state), policy)
+    if len(best) > 1 and policy == FAIL_ON_TIE:
+        raise TieError(table.state, best, best_delta)
+    return best[0], best_delta
 
 
 class _MoveTable:
@@ -199,24 +173,31 @@ class _MoveTable:
         return affected
 
 
+def _walk(table, choose):
+    """The ascent loop: take the (move, delta) that ``choose(table)`` picks
+    from ``table.state`` until it returns (None, 0) at a local maximum.
+    Yields each move with its delta once the table has taken it."""
+    while True:
+        move, delta = choose(table)
+        if move is None:
+            return
+        table.step(move)
+        yield move, delta
+
+
 def _ascend(landscape: Landscape, start, choose, max_steps: int) -> AscentTrace:
-    """The ascent loop: ``choose(table)`` returns the (move, delta) to take
-    from ``table.state``, or (None, 0) to stop at a local maximum."""
+    """Record the walk of ``choose`` from ``start``, at most ``max_steps`` steps."""
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     state = tuple(start)
     fitness = landscape.evaluate(state)
     steps = [TraceStep(state, fitness, None, 0)]
     table = _MoveTable(landscape, state)
-    for _ in range(max_steps):
-        move, delta = choose(table)
-        if move is None:
-            return AscentTrace(steps, LOCAL_OPTIMUM)
-        table.step(move)
-        state = table.state
+    for move, delta in itertools.islice(_walk(table, choose), max_steps):
         fitness += delta
-        steps.append(TraceStep(state, fitness, move, delta))
-    # budget exhausted; report whether we happen to already be at the top
+        steps.append(TraceStep(table.state, fitness, move, delta))
+    # the walk stops at a local maximum or is cut by the budget, possibly
+    # at the top already: the table tells which
     improving = any(d > 0 for _, d in table.entries())
     return AscentTrace(steps, STEP_BUDGET if improving else LOCAL_OPTIMUM)
 
@@ -225,11 +206,10 @@ def steepest_ascent(landscape: Landscape, start, policy: str = FAIL_ON_TIE,
                     *, max_steps: int) -> AscentTrace:
     """Run steepest ascent from ``start`` until a local maximum or the step
     budget; the trace records every visited state."""
-
-    def steepest(table):
-        return _steepest_of(table.state, *_maximal_moves(table.entries()), policy)
-
-    return _ascend(landscape, start, steepest, max_steps)
+    if policy not in TIE_POLICIES:
+        raise ValueError(f"unknown tie policy {policy!r}")
+    return _ascend(landscape, start, functools.partial(_steepest, policy=policy),
+                   max_steps)
 
 
 def first_improvement_ascent(landscape: Landscape, start, seed: int,

@@ -60,10 +60,6 @@ def _build_adjacency() -> dict[str, tuple[str, ...]]:
 ADJACENT_SYMBOLS = _build_adjacency()
 
 
-def is_main(symbol: str) -> bool:
-    return symbol in ("0", "1", "C", "X")
-
-
 def encode_state(state: tuple[str, ...]) -> tuple[int, ...]:
     """Symbol state -> 4N bit vector, block of X_1 first.
 

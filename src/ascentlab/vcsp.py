@@ -188,9 +188,6 @@ class ConstraintGraph:
     num_vertices: int
     adjacency: tuple[frozenset[int], ...]
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     @property
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.adjacency)

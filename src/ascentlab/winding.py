@@ -17,7 +17,6 @@ is the prefix of length 2k.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .landscapes import Landscape
@@ -319,14 +318,3 @@ def winding_from_obj(obj: dict) -> WindingLandscape:
         tuple(int(x) for x in obj["s_minus"]),
     )
     return WindingLandscape(int(obj["n"]), schedule)
-
-
-def dump_winding(landscape: WindingLandscape, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(winding_to_obj(landscape), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_winding(path) -> WindingLandscape:
-    with open(path, "r", encoding="utf-8") as fh:
-        return winding_from_obj(json.load(fh))

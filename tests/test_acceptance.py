@@ -84,10 +84,13 @@ def test_closure_and_rule_coverage_exhaustive():
 
 def test_lockstep_steepest_equals_rules():
     # identical sequences from 0^N for N = 2..10 under fail-on-tie, within
-    # a 2^(N+4) budget; no tie and no priority ambiguity ever fires
+    # a 2^(N+4) budget; no tie and no priority ambiguity ever fires.  The
+    # path to 01^(N-1) takes R(N) = 7*2^(N-1) - 4N - 4 steps (a measured fit)
     for n in range(2, 11):
         report = verify_steepest_equals_rules(n, budget=2 ** (n + 4))
         assert report.passed, "\n".join(report.lines())
+        steps = 7 * 2 ** (n - 1) - 4 * n - 4
+        assert report.checks[-1].detail.startswith(f"{steps} identical steps "), n
 
 
 def test_boolean_lift_lockstep():
@@ -103,6 +106,8 @@ def test_boolean_lift_lockstep():
         assert symbol_trace.terminal == LOCAL_OPTIMUM
         assert boolean_trace.terminal == LOCAL_OPTIMUM
         assert boolean_trace.num_steps == symbol_trace.num_steps
+        # T(N) = (35*2^N - 30N - 27 + (-1)^N) / 6 steps to the top (a measured fit)
+        assert boolean_trace.num_steps == (35 * 2 ** n - 30 * n - 27 + (-1) ** n) // 6, n
         for sym_step, bit_step in zip(symbol_trace.steps, boolean_trace.steps):
             assert decode_bits(bit_step.state) == sym_step.state
             assert bit_step.fitness == sym_step.fitness

@@ -23,8 +23,6 @@ from ascentlab.search import (
     STEP_BUDGET,
     TieError,
     steepest_ascent,
-    steepest_choice,
-    steepest_move,
 )
 from ascentlab.symbols import SYMBOLS
 from ascentlab.vcsp import SoftConstraint, VcspError, VcspInstance
@@ -224,20 +222,18 @@ def test_tie_prone_schedule_still_ties_at_the_origin():
     assert err.value.delta == 22
 
 
-def test_steepest_choice_reports_the_same_tie_as_steepest_move():
+def test_steepest_ascent_reports_a_tie_and_checks_its_policy_on_entry():
     landscape = VcspLandscape(VcspInstance(
         domains=(2, 2),
         constraints=(SoftConstraint((0,), 1, (0, 3)), SoftConstraint((1,), 1, (0, 3)))))
-    with pytest.raises(TieError) as by_move:
-        steepest_move(landscape, (0, 0))
-    with pytest.raises(TieError) as by_scan:
-        steepest_choice((0, 0), landscape.move_deltas((0, 0)))
-    assert (by_scan.value.state, by_scan.value.moves, by_scan.value.delta) == (
-        by_move.value.state, by_move.value.moves, by_move.value.delta) == (
-        (0, 0), [(0, 1), (1, 1)], 3)
-    assert steepest_choice((0, 0), landscape.move_deltas((0, 0)), LOWEST_INDEX) == ((0, 1), 3)
-    with pytest.raises(ValueError):
-        steepest_choice((0, 0), [], "no-such-policy")
+    with pytest.raises(TieError) as err:
+        steepest_ascent(landscape, (0, 0), max_steps=5)
+    assert (err.value.state, err.value.moves, err.value.delta) == ((0, 0), [(0, 1), (1, 1)], 3)
+    trace = steepest_ascent(landscape, (0, 0), LOWEST_INDEX, max_steps=5)
+    assert (trace.steps[1].move, trace.steps[1].delta) == ((0, 1), 3)
+    for max_steps in (0, 5):
+        with pytest.raises(ValueError):
+            steepest_ascent(landscape, (0, 0), "no-such-policy", max_steps=max_steps)
 
 
 # -- the lockstep oracle computes each delta once -------------------------------

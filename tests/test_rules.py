@@ -295,3 +295,25 @@ def test_lockstep_detects_corrupted_table():
     landscape = SymbolCountingLandscape(4, f_table=corrupted)
     report = verify_steepest_equals_rules(4, landscape=landscape)
     assert not report.passed
+
+
+def test_lockstep_reports_a_tie_an_ambiguity_or_a_halt_as_a_failure():
+    # a raised C0 cost makes (1, i0X) and (3, 0) both improve by 4 at <0 0 C iC0>
+    corrupted = dict(F_NONZERO)
+    corrupted[("C", "0")] = 12
+    landscape = SymbolCountingLandscape(4, f_table=corrupted)
+    report = verify_steepest_equals_rules(4, landscape=landscape)
+    assert not report.passed
+    assert report.lines()[1] == (
+        "[FAIL] lockstep: steepest-move tie at ('0', '0', 'C', 'iC0'): "
+        "moves [(1, 'i0X'), (3, '0')] all improve by 4 (step 17)")
+    # two carries into 1 of the same priority group, off the counting path
+    report = verify_steepest_equals_rules(4, start=S("1 C 1 C"))
+    assert not report.passed
+    assert report.lines()[1] == (
+        "[FAIL] lockstep: priority does not single out a rule at 1 C 1 C: "
+        "[('3a', 2), ('3a', 4)] (step 0)")
+    # no improving flip and no rule, short of 01^(N-1)
+    report = verify_steepest_equals_rules(3, start=S("0 0 X"))
+    assert not report.passed
+    assert report.lines()[1] == "[FAIL] lockstep: steepest ascent halts at 0 0 X (step 0)"
