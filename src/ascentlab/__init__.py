@@ -27,8 +27,6 @@ from .analysis import (
 from .counting import (
     SymbolCountingLandscape,
     count_end_state,
-    f_cost,
-    h_cost,
     make_counting_boolean_instance,
     make_counting_symbol_instance,
     zero_state,
@@ -43,7 +41,6 @@ from .rules import (
     applicable_rules,
     classify,
     counting_path,
-    is_admissible,
     rule_successor,
     verify_cpp_closure,
     verify_rule_arithmetic,

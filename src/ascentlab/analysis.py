@@ -147,17 +147,17 @@ def pathwidth_upper_bound(graph: ConstraintGraph, order) -> int:
     return width
 
 
-def treewidth_exact(graph: ConstraintGraph, max_vertices: int = 14) -> int:
+def treewidth_exact(graph: ConstraintGraph) -> int:
     """Exact treewidth by dynamic programming over elimination orderings.
 
     Q(S) is the best possible maximum elimination degree using the vertices
     of S as the first eliminated set; eliminating v from S costs the number
     of vertices outside S reachable from v through S.  Exponential in the
-    vertex count, so capped.
+    vertex count, so capped at 14 vertices.
     """
     n = graph.num_vertices
-    if n > max_vertices:
-        raise AnalysisError(f"exact treewidth capped at {max_vertices} vertices")
+    if n > 14:
+        raise AnalysisError("exact treewidth capped at 14 vertices")
     if n == 0:
         return 0
     adj = [0] * n
@@ -211,11 +211,6 @@ class CensusResult:
     worst_local_max: int
     states: int
     maxima: tuple = field(default=(), repr=False)
-
-    @property
-    def ratio_exact(self) -> tuple[int, int]:
-        """(global_max, worst_local_max) as an exact ratio pair."""
-        return (self.global_max, self.worst_local_max)
 
 
 def _gray_steps(domains):

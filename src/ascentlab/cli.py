@@ -254,7 +254,7 @@ def cmd_analyze(args) -> int:
         print(f"states={result.states} local_maxima={result.local_maxima} "
               f"global_max={result.global_max} worst_local_max={result.worst_local_max}")
         if result.worst_local_max:
-            num, den = result.ratio_exact
+            num, den = result.global_max, result.worst_local_max
             if num % den == 0:
                 print(f"ratio={num // den}")
             else:

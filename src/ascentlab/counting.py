@@ -26,6 +26,8 @@ instance's tables.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from functools import cached_property
 
 from .landscapes import Landscape
@@ -56,16 +58,6 @@ F_NONZERO = {
 
 # Increment triggers; paid only when the symbol above is a plain bit.
 H_NONZERO = {"i01": 1, "i1C": 5}
-
-
-def f_cost(a: str, b: str) -> int:
-    return F_NONZERO.get((a, b), 0)
-
-
-def h_cost(above: str, last: str) -> int:
-    if above in ("0", "1"):
-        return H_NONZERO.get(last, 0)
-    return 0
 
 
 def zero_state(n: int) -> tuple[str, ...]:
@@ -111,46 +103,33 @@ def make_counting_symbol_instance(n: int, f_table=None, h_table=None) -> VcspIns
 
 
 def make_counting_boolean_instance(n: int) -> VcspInstance:
-    """Arity-8 Boolean encoding of the counting VCSP on 4N bit variables.
+    """Arity-8 Boolean encoding of the counting VCSP on 4N bit variables: the
+    symbol instance's tables lifted onto 4-bit blocks.
 
     Bit x_{a,i} has flat index 4*(i-1) + (a-1), so blocks are ordered from
     X_1 upward and the lexicographic variable order of the treewidth argument
     is just the index order.  Each pair constraint covers blocks i+1 and i;
-    non-symbol blocks cost 0, and h (with its X_2-gate) folds into the
-    lowest pair table.
+    non-symbol blocks cost 0, and the trigger (with its X_2-gate) folds into
+    the lowest pair table.
     """
-    if n < 2:
-        raise VcspError("counting instance needs at least 2 symbol variables")
+    *pairs, trigger = make_counting_symbol_instance(n).constraints
+    # per 4-bit pattern, its symbol's value index; None for non-symbols
+    blocks = [SYMBOL_INDEX.get(decode_block(bits))
+              for bits in itertools.product((0, 1), repeat=4)]
 
-    def block_scope(i: int) -> tuple[int, ...]:
-        return tuple(range(4 * (i - 1), 4 * i))
+    def lift(values):
+        return tuple(0 if a is None or b is None else values[len(SYMBOLS) * a + b]
+                     for a in blocks for b in blocks)
 
-    patterns = [(b1, b2, b3, b4) for b1 in (0, 1) for b2 in (0, 1)
-                for b3 in (0, 1) for b4 in (0, 1)]
-    constraints = []
-    for i in range(1, n):
-        include_h = i == 1
-        values = []
-        for left in patterns:          # block of X_{i+1}
-            a = decode_block(left)
-            for right in patterns:     # block of X_i
-                b = decode_block(right)
-                cost = 0
-                if a is not None and b is not None:
-                    cost = f_cost(a, b)
-                    if include_h:
-                        cost += h_cost(a, b)
-                values.append(cost)
-        constraints.append(
-            SoftConstraint(
-                scope=block_scope(i + 1) + block_scope(i),
-                weight=4 ** (i - 1),
-                values=tuple(values),
-            )
-        )
+    lowest = lift(tuple(map(operator.add, pairs[0].values, trigger.values)))
+    upper = lift(pairs[0].values)  # every pair constraint has the same table
+    constraints = tuple(
+        SoftConstraint(scope=tuple(4 * v + k for v in c.scope for k in range(4)),
+                       weight=c.weight, values=upper if i else lowest)
+        for i, c in enumerate(pairs))
     return VcspInstance(
         domains=(2,) * (4 * n),
-        constraints=tuple(constraints),
+        constraints=constraints,
         metadata={"kind": "counting-boolean", "n": n},
     )
 

@@ -29,13 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counting import (
-    SymbolCountingLandscape,
-    count_end_state,
-    f_cost,
-    h_cost,
-    zero_state,
-)
+from .counting import SymbolCountingLandscape, count_end_state, zero_state
 from .report import Report
 from .search import TieError, _MoveTable, _steepest, _walk
 from .symbols import format_symbol_state
@@ -321,132 +315,63 @@ def classify(state: tuple[str, ...]) -> AdmissibleClass:
     return _family_of(state)
 
 
-def is_admissible(state: tuple[str, ...]) -> bool:
-    return classify(state).admissible
-
-
 # ---------------------------------------------------------------------------
 # Verification oracles.
 # ---------------------------------------------------------------------------
 
-def _chain(report, label, values, expected, strict_pairs=None):
-    """Assert a computed inequality chain has the expected values and
-    actually increases (non-strict steps may be listed in strict_pairs)."""
-    ok = list(values) == list(expected)
-    rel = []
-    for i in range(len(values) - 1):
-        strict = strict_pairs[i] if strict_pairs is not None else True
-        holds = values[i] < values[i + 1] if strict else values[i] <= values[i + 1]
-        rel.append(holds)
-        ok = ok and holds
-    report.add(label, ok, " ".join(f"{v}" for v in values))
+# The inequality chains behind the rule system.  Each chain lists symbol
+# windows (display order, X_1 rightmost), scored as whole states by the
+# counting landscape; "{a}" is a plain bit on top, tried as 0 and as 1.  A
+# chain names its expected values and the steps that need not be strict.
+_CHAIN_GROUPS = (
+    (("0", "1"), (
+        # a plain bit sits above X_1, so the trigger pays
+        ("increment chain (rules 1-2), a={a}",
+         ("{a} 0", "{a} i01", "{a} 1", "{a} i1C", "{a} C"), (0, 1, 4, 5, 6), ()),
+        ("carry into 1 (rule 3), a={a}",
+         ("{a} 1 C", "{a} i1C C", "{a} C C"), (22, 23, 24), ()),
+        ("carry into 0 (rule 4), a={a}",
+         ("{a} 0 C", "{a} i0X C", "{a} X C"), (6, 7, 8), ()),
+        ("use the carry (rule 7), a={a}",
+         ("{a} X 0", "{a} iX1 0", "{a} 1 0"), (13, 14, 16), (1,)),
+    )),
+    ((None,), (
+        ("drop carry after X (rule 6), zeros below",
+         ("X C 0", "X iC0 0", "X 0 0"), (45, 48, 52), ()),
+        ("drop carry after X (rule 6), at the end",
+         ("X C", "X iC0", "X 0"), (8, 12, 13), ()),
+        ("drop carry after C (rule 5), zeros below",
+         ("C C 0", "C iC0 0", "C 0 0"), (13, 32, 52), ()),
+        ("drop carry after C (rule 5), at the end",
+         ("C C", "C iC0", "C 0"), (0, 8, 13), ()),
+    )),
+    # conflict chains: the preferred rule's successor exceeds the other's
+    (("0", "1"), (
+        ("conflict 3a vs 5a, a={a}", ("{a} i1C C C 0", "{a} 1 C iC0 0"), (381, 384), ()),
+        ("conflict 3a vs 5a at the end, a={a}", ("{a} i1C C C", "{a} 1 C iC0"), (92, 96), ()),
+        ("conflict 3a vs 5b, a={a}", ("{a} i1C C iC0 0", "{a} 1 C 0 0"), (400, 404), ()),
+        ("conflict 3a vs 5b at the end, a={a}", ("{a} i1C C iC0", "{a} 1 C 0"), (100, 101), ()),
+        ("conflict 4a vs 5a, a={a}", ("{a} i0X C C 0", "{a} 0 C iC0 0"), (125, 128), ()),
+        ("conflict 4a vs 5a at the end, a={a}", ("{a} i0X C C", "{a} 0 C iC0"), (28, 32), ()),
+        ("conflict 4a vs 5b, a={a}", ("{a} i0X C iC0 0", "{a} 0 C 0 0"), (144, 148), ()),
+        ("conflict 4a vs 5b at the end, a={a}", ("{a} i0X C iC0", "{a} 0 C 0"), (36, 37), ()),
+    )),
+)
 
 
 def verify_rule_arithmetic() -> Report:
     """Mechanically evaluate every inequality chain behind the rule system
-    from the shipped cost tables (exact integers, zero tolerance)."""
+    with the counting landscape's evaluator (exact integers, zero tolerance)."""
     rep = Report("rule arithmetic")
-    f, h = f_cost, h_cost
-
-    for a in ("0", "1"):
-        # a plain bit sits above X_1, so the trigger pays
-        _chain(
-            rep, f"increment chain (rules 1-2), a={a}",
-            [f(a, "0") + h(a, "0"), f(a, "i01") + h(a, "i01"), f(a, "1") + h(a, "1"),
-             f(a, "i1C") + h(a, "i1C"), f(a, "C") + h(a, "C")],
-            [0, 1, 4, 5, 6],
-        )
-        _chain(
-            rep, f"carry into 1 (rule 3), a={a}",
-            [4 * f(a, "1") + f("1", "C"),
-             4 * f(a, "i1C") + f("i1C", "C"),
-             4 * f(a, "C") + f("C", "C")],
-            [22, 23, 24],
-        )
-        _chain(
-            rep, f"carry into 0 (rule 4), a={a}",
-            [4 * f(a, "0") + f("0", "C"),
-             4 * f(a, "i0X") + f("i0X", "C"),
-             4 * f(a, "X") + f("X", "C")],
-            [6, 7, 8],
-        )
-        _chain(
-            rep, f"use the carry (rule 7), a={a}",
-            [4 * f(a, "X") + f("X", "0"),
-             4 * f(a, "iX1") + f("iX1", "0"),
-             4 * f(a, "1") + f("1", "0")],
-            [13, 14, 16],
-            strict_pairs=[True, False],
-        )
-    _chain(
-        rep, "drop carry after X (rule 6), zeros below",
-        [4 * f("X", "C") + f("C", "0"),
-         4 * f("X", "iC0") + f("iC0", "0"),
-         4 * f("X", "0") + f("0", "0")],
-        [45, 48, 52],
-    )
-    _chain(rep, "drop carry after X (rule 6), at the end",
-           [f("X", "C"), f("X", "iC0"), f("X", "0")], [8, 12, 13])
-    _chain(
-        rep, "drop carry after C (rule 5), zeros below",
-        [4 * f("C", "C") + f("C", "0"),
-         4 * f("C", "iC0") + f("iC0", "0"),
-         4 * f("C", "0") + f("0", "0")],
-        [13, 32, 52],
-    )
-    _chain(rep, "drop carry after C (rule 5), at the end",
-           [f("C", "C"), f("C", "iC0"), f("C", "0")], [0, 8, 13])
-
-    # conflict chains: the preferred rule's successor exceeds the other's
-    for a in ("0", "1"):
-        _chain(
-            rep, f"conflict 3a vs 5a, a={a}",
-            [64 * f(a, "i1C") + 16 * f("i1C", "C") + 4 * f("C", "C") + f("C", "0"),
-             64 * f(a, "1") + 16 * f("1", "C") + 4 * f("C", "iC0") + f("iC0", "0")],
-            [381, 384],
-        )
-        _chain(
-            rep, f"conflict 3a vs 5a at the end, a={a}",
-            [16 * f(a, "i1C") + 4 * f("i1C", "C") + f("C", "C"),
-             16 * f(a, "1") + 4 * f("1", "C") + f("C", "iC0")],
-            [92, 96],
-        )
-        _chain(
-            rep, f"conflict 3a vs 5b, a={a}",
-            [64 * f(a, "i1C") + 16 * f("i1C", "C") + 4 * f("C", "iC0") + f("iC0", "0"),
-             64 * f(a, "1") + 16 * f("1", "C") + 4 * f("C", "0") + f("0", "0")],
-            [400, 404],
-        )
-        _chain(
-            rep, f"conflict 3a vs 5b at the end, a={a}",
-            [16 * f(a, "i1C") + 4 * f("i1C", "C") + f("C", "iC0"),
-             16 * f(a, "1") + 4 * f("1", "C") + f("C", "0")],
-            [100, 101],
-        )
-        _chain(
-            rep, f"conflict 4a vs 5a, a={a}",
-            [64 * f(a, "i0X") + 16 * f("i0X", "C") + 4 * f("C", "C") + f("C", "0"),
-             64 * f(a, "0") + 16 * f("0", "C") + 4 * f("C", "iC0") + f("iC0", "0")],
-            [125, 128],
-        )
-        _chain(
-            rep, f"conflict 4a vs 5a at the end, a={a}",
-            [16 * f(a, "i0X") + 4 * f("i0X", "C") + f("C", "C"),
-             16 * f(a, "0") + 4 * f("0", "C") + f("C", "iC0")],
-            [28, 32],
-        )
-        _chain(
-            rep, f"conflict 4a vs 5b, a={a}",
-            [64 * f(a, "i0X") + 16 * f("i0X", "C") + 4 * f("C", "iC0") + f("iC0", "0"),
-             64 * f(a, "0") + 16 * f("0", "C") + 4 * f("C", "0") + f("0", "0")],
-            [144, 148],
-        )
-        _chain(
-            rep, f"conflict 4a vs 5b at the end, a={a}",
-            [16 * f(a, "i0X") + 4 * f("i0X", "C") + f("C", "iC0"),
-             16 * f(a, "0") + 4 * f("0", "C") + f("C", "0")],
-            [36, 37],
-        )
+    for bits, chains in _CHAIN_GROUPS:
+        for a in bits:
+            for label, windows, expected, weak in chains:
+                states = [tuple(w.format(a=a).split()) for w in windows]
+                values = [SymbolCountingLandscape(len(s)).evaluate(s) for s in states]
+                ok = values == list(expected) and all(
+                    x <= y if k in weak else x < y
+                    for k, (x, y) in enumerate(zip(values, values[1:])))
+                rep.add(label.format(a=a), ok, " ".join(map(str, values)))
 
     # rule 1 loses every conflict: in any admissible state ending with at
     # least two zeros, rule 1a gains exactly 1 and every other applicable
@@ -476,8 +401,7 @@ def verify_rule_arithmetic() -> Report:
     return rep
 
 
-def verify_cpp_closure(n: int, landscape: SymbolCountingLandscape | None = None,
-                       max_counterexamples: int = 20) -> Report:
+def verify_cpp_closure(n: int, landscape: SymbolCountingLandscape | None = None) -> Report:
     """Exhaustive closure and rule-coverage oracle over all 10^N states.
 
     Checks (a) every strictly improving flip from an admissible state lands
@@ -485,7 +409,7 @@ def verify_cpp_closure(n: int, landscape: SymbolCountingLandscape | None = None,
     01^(N-1) the set of strictly improving flips equals the set of
     guard-matching rule transitions.  Passing a corrupted landscape breaks
     (b) (and possibly (a)), which is how the oracle's own sensitivity is
-    tested.
+    tested.  The detail shows the first 20 counterexamples.
     """
     if landscape is None:
         landscape = SymbolCountingLandscape(n)
@@ -508,7 +432,7 @@ def verify_cpp_closure(n: int, landscape: SymbolCountingLandscape | None = None,
     if violations:
         shown = "; ".join(
             f"{format_symbol_state(s)} -> {format_symbol_state(t)}"
-            for s, t in violations[:max_counterexamples]
+            for s, t in violations[:20]
         )
         detail += f"; {len(violations)} counterexamples: {shown}"
     rep.add("improving flips preserve admissibility", ok, detail)

@@ -28,14 +28,17 @@ STEP_BUDGET = "step-budget"
 
 
 class TieError(RuntimeError):
-    """Raised under fail-on-tie when several moves share the maximal delta."""
+    """Raised under fail-on-tie when several moves share the maximal delta.
+    The message names the state as ``shown``, its landscape's display form,
+    or else by its repr."""
 
-    def __init__(self, state, moves, delta):
+    def __init__(self, state, moves, delta, shown=None):
         self.state = state
         self.moves = list(moves)
         self.delta = delta
         super().__init__(
-            f"steepest-move tie at {state!r}: moves {self.moves} all improve by {delta}"
+            f"steepest-move tie at {shown or repr(state)}: moves {self.moves} "
+            f"all improve by {delta}"
         )
 
 
@@ -84,7 +87,8 @@ def _steepest(table, policy=FAIL_ON_TIE):
     if not best:
         return None, 0
     if len(best) > 1 and policy == FAIL_ON_TIE:
-        raise TieError(table.state, best, best_delta)
+        state = table.state
+        raise TieError(state, best, best_delta, table.landscape.format_state(state))
     return best[0], best_delta
 
 
@@ -235,14 +239,14 @@ def is_local_maximum(landscape: Landscape, state) -> bool:
     return all(d <= 0 for _, d in landscape.move_deltas(state))
 
 
-def trace_table(landscape: Landscape, trace: AscentTrace, sep: str = "\t") -> str:
-    """Delimited text table: step, flipped_variable, delta, fitness, state."""
-    lines = [sep.join(["step", "flipped_variable", "delta", "fitness", "state"])]
+def trace_table(landscape: Landscape, trace: AscentTrace) -> str:
+    """Tab-separated table: step, flipped_variable, delta, fitness, state."""
+    lines = ["step\tflipped_variable\tdelta\tfitness\tstate"]
     for i, s in enumerate(trace.steps):
         flipped = "" if s.move is None else str(s.move[0])
-        lines.append(sep.join([
+        lines.append("\t".join([
             str(i), flipped, str(s.delta), str(s.fitness),
             landscape.format_state(s.state),
         ]))
-    lines.append(f"# terminal{sep}{trace.terminal}")
+    lines.append(f"# terminal\t{trace.terminal}")
     return "\n".join(lines) + "\n"

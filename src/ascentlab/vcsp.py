@@ -195,9 +195,6 @@ class ConstraintGraph:
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.num_vertices) for j in self.adjacency[i] if i < j]
 
-    def num_edges(self) -> int:
-        return len(self.edges())
-
 
 # ---------------------------------------------------------------------------
 # Canonical instance document (JSON).  Round-trip is identity.

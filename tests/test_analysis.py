@@ -263,8 +263,7 @@ def test_pairs_census_ratio_alpha():
     assert census.local_maxima == 8
     assert census.global_max == 12
     assert census.worst_local_max == 3
-    num, den = census.ratio_exact
-    assert num == 4 * den
+    assert census.global_max == 4 * census.worst_local_max
 
 
 def test_monotone_unary_single_variable():

@@ -162,6 +162,19 @@ def test_run_tie_exit_code(tmp_path, capsys):
     assert code == EXIT_OK and "terminal=local-optimum" in out
 
 
+def test_run_tie_names_the_state_as_the_trace_does(tmp_path, capsys):
+    # the validator accepts this schedule, yet s-_4 = 22 tops the origin gradient twice
+    inst = tmp_path / "w.json"
+    main(["gen", "winding", "--n", "4", "--s-plus", "12,24,27,36",
+          "--s-minus", "3,-15,8,22", "-o", str(inst)])
+    capsys.readouterr()
+    code = main(["run", str(inst), "--max-steps", "100"])
+    captured = capsys.readouterr()
+    assert code == EXIT_TIE and captured.out == ""
+    assert captured.err == (
+        "tie: steepest-move tie at 00000000: moves [(6, 1), (7, 1)] all improve by 22\n")
+
+
 def test_budget_exit_code(tmp_path, capsys):
     inst = tmp_path / "w.json"
     main(["gen", "winding", "--n", "6", "-o", str(inst)])

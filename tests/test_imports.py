@@ -1,5 +1,6 @@
-"""Every module-level import of the library is used: a stdlib ``ast`` check
-over ``src/ascentlab`` (the package ``__init__`` re-exports by importing)."""
+"""Every module-level import of the library is used, and every module-level
+private name is read somewhere in it: stdlib ``ast`` checks over
+``src/ascentlab`` (the package ``__init__`` re-exports by importing)."""
 
 from __future__ import annotations
 
@@ -24,6 +25,30 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in used]
 
 
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Module-level private functions, classes and constants of ``sources``
+    that no source reads, as a name or as an attribute."""
+    trees = [ast.parse(source) for source in sources]
+    defined = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, ast.Assign):
+                defined += [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined.append(node.target.id)
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [name for name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
 def test_check_finds_an_unused_import():
     assert unused_imports("import json\nimport os.path\nfrom a import b as c\n") == [
         "json", "os", "c"]
@@ -37,3 +62,14 @@ def test_library_modules_use_every_import():
     unused = {p.name: names for p in modules
               if (names := unused_imports(p.read_text(encoding="utf-8")))}
     assert unused == {}
+
+
+def test_check_finds_an_unread_private_name():
+    sources = ["_A = 1\n_B: int = 2\ndef _f(): pass\nclass _C: pass\n__version__ = 0\n",
+               "from m import _A\nx = m._f\n_A + 1\n"]
+    assert unread_private_names(sources) == ["_B", "_C"]
+
+
+def test_library_reads_every_private_name():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert unread_private_names(sources) == []

@@ -18,7 +18,6 @@ from ascentlab.rules import (
     applicable_rules,
     classify,
     counting_path,
-    is_admissible,
     rule_successor,
     verify_cpp_closure,
     verify_rule_arithmetic,
@@ -221,7 +220,7 @@ def test_counting_path_endpoints_and_admissibility():
         path = counting_path(n)
         assert path[0] == zero_state(n)
         assert path[-1] == ("0",) + ("1",) * (n - 1)
-        assert all(is_admissible(s) for s in path)
+        assert all(classify(s).admissible for s in path)
 
 
 def test_counting_path_length_recurrence():
@@ -253,6 +252,18 @@ def test_verify_rule_arithmetic_reads_the_shipped_trigger_table(monkeypatch):
     failed = [c.label for c in report.checks if not c.ok]
     assert "increment chain (rules 1-2), a=0" in failed
     assert "increment chain (rules 1-2), a=1" in failed
+
+
+def test_verify_rule_arithmetic_reads_the_shipped_pair_table(monkeypatch):
+    monkeypatch.setitem(counting.F_NONZERO, ("i1C", "C"), 22)
+    report = verify_rule_arithmetic()
+    assert not report.passed
+    failed = {c.label for c in report.checks if not c.ok}
+    for a in ("0", "1"):
+        assert f"carry into 1 (rule 3), a={a}" in failed
+        for other in ("5a", "5a at the end", "5b", "5b at the end"):
+            assert f"conflict 3a vs {other}, a={a}" in failed
+    assert not any(label.startswith("conflict 4a") for label in failed)
 
 
 def test_cpp_closure_small():
@@ -305,7 +316,7 @@ def test_lockstep_reports_a_tie_an_ambiguity_or_a_halt_as_a_failure():
     report = verify_steepest_equals_rules(4, landscape=landscape)
     assert not report.passed
     assert report.lines()[1] == (
-        "[FAIL] lockstep: steepest-move tie at ('0', '0', 'C', 'iC0'): "
+        "[FAIL] lockstep: steepest-move tie at 0 0 C iC0: "
         "moves [(1, 'i0X'), (3, '0')] all improve by 4 (step 17)")
     # two carries into 1 of the same priority group, off the counting path
     report = verify_steepest_equals_rules(4, start=S("1 C 1 C"))
