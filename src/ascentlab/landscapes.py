@@ -16,7 +16,8 @@ move it took: the state was checked where the ascent entered, and a move
 keeps it in its domains.  The default ``_rescan`` asks ``delta`` move by
 move; the VCSP landscape, and the symbol counting landscape that views one,
 read each constraint's table index once per scan, and the winding
-landscape's ``delta`` reads every flip of a state from one level pass.
+landscape makes one level pass per state, from which its ``delta`` reads
+each flip: the pass walks a run of 00 pairs in closed form.
 
 ``affected(var)`` names, in ascending order, every variable whose moves or
 move deltas a move on ``var`` may change: the variable itself and the

@@ -217,15 +217,23 @@ def instance_to_obj(instance: VcspInstance) -> dict:
     return obj
 
 
+def _exact_int(x) -> int:
+    """``x``, refused unless an exact int (not a float, string or bool)."""
+    if type(x) is not int:
+        raise VcspError(f"instance documents hold exact integers, got {x!r}")
+    return x
+
+
 def instance_from_obj(obj: dict) -> VcspInstance:
     if obj.get("format") != INSTANCE_FORMAT:
         raise VcspError(f"not a {INSTANCE_FORMAT} document")
     constraints = tuple(
-        SoftConstraint(tuple(c["scope"]), int(c["weight"]), tuple(int(x) for x in c["values"]))
+        SoftConstraint(tuple(map(_exact_int, c["scope"])), _exact_int(c["weight"]),
+                       tuple(map(_exact_int, c["values"])))
         for c in obj["constraints"]
     )
     return VcspInstance(
-        domains=tuple(int(d) for d in obj["domains"]),
+        domains=tuple(map(_exact_int, obj["domains"])),
         constraints=constraints,
         metadata=obj.get("metadata", {}),
     )

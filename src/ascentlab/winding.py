@@ -18,6 +18,8 @@ is the prefix of length 2k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import add, getitem
 
 from .landscapes import Landscape
 
@@ -44,7 +46,7 @@ class StepSchedule:
             raise WindingError("schedule needs equal-length, non-empty step sequences")
         n = len(self.s_plus)
         for k in range(n):
-            if not isinstance(self.s_plus[k], int) or not isinstance(self.s_minus[k], int):
+            if type(self.s_plus[k]) is not int or type(self.s_minus[k]) is not int:
                 raise WindingError("steps must be exact integers")
             if self.s_plus[k] <= 0:
                 raise WindingError(f"s+_{k + 1} must be positive")
@@ -98,10 +100,10 @@ class WindingLandscape(Landscape):
             pv.append(2 * pv[k - 1] + 2 * schedule.s_plus[k - 1])
         self.peak_value = tuple(pv)
         # single-slot memo (state, (value, deltas)) of the last scanned
-        # state: the level pass yields every flip's delta at once, so the
-        # scan of a state (the default move_deltas, or any other caller
-        # asking delta move by move) pays for one pass and then looks the
-        # deltas up; one atomic reference keeps concurrent readers consistent
+        # state: the level pass yields every flip's delta at once, so a scan
+        # (_rescan, or any caller asking delta move by move) pays for one
+        # pass, then looks the deltas up, delta by the tuple's identity first;
+        # one atomic reference keeps concurrent readers consistent
         self._memo: tuple | None = None
 
     # -- evaluation ---------------------------------------------------------
@@ -113,8 +115,18 @@ class WindingLandscape(Landscape):
         var, value = move
         if value not in _BITS:
             raise WindingError(f"move value {value!r} is not a bit")
-        deltas = self._scan(state)[1]
+        memo = self._memo
+        deltas = memo[1][1] if memo is not None and memo[0] is state else self._scan(state)[1]
         return 0 if state[var] == value else deltas[var]
+
+    def _rescan(self, state, variables):
+        """One level pass, then ``delta`` per flip, each a memo hit."""
+        if variables is not None:
+            return super()._rescan(state, variables)
+        state = tuple(state)
+        self._scan(state)  # checks the state, and memoises it
+        delta = self.delta
+        return [(move, delta(state, move)) for move in map(getitem, self._flips, state)]
 
     def _scan(self, state):
         """``(value, deltas)`` of a validated state: its fitness and, per
@@ -133,20 +145,18 @@ class WindingLandscape(Landscape):
         self._memo = (state, scan)
         return scan
 
-    def _level(self, k, a, b, g0, g1, at_peak):
-        """Level-k values of the pair (a, b) and of its inverse, given the
-        level-(k-1) values g0 of the prefix and g1 of the prefix XOR the
-        level-(k-1) peak.  ``at_peak``: the prefix is that peak."""
-        s_minus = self.schedule.s_minus[k - 1]
-        below = self.peak_value[k - 1]
-        if a == b:
-            # 11 adds the level-(k-1) peak value and 2 s+_k to the XOR-ed prefix
-            lifted = self.peak_value[k] - below + g1
-            return (g0, lifted) if a == 0 else (lifted, g0)
-        if at_peak:
-            rise, dip = below + self.schedule.s_plus[k - 1], below + s_minus
-            return (rise, dip) if a == 1 else (dip, rise)
-        return s_minus + g0, s_minus + g0
+    @cached_property
+    def _flips(self):
+        """Per variable, its flip from 0 and from 1, shared by every scan."""
+        return tuple(((i, 1), (i, 0)) for i in range(2 * self.n))
+
+    @cached_property
+    def _steps(self):
+        """Per level k, at index k: s-_k, lift_k = P_k - P_(k-1), rise_k =
+        P_(k-1) + s+_k and dip_k = P_(k-1) + s-_k (P_k: the level-k peak value)."""
+        pv, sp, sm = self.peak_value, self.schedule.s_plus, self.schedule.s_minus
+        lift = [pv[k + 1] - pv[k] for k in range(self.n)]
+        return tuple((0,) + tuple(t) for t in (sm, lift, map(add, pv, sp), map(add, pv, sm)))
 
     def _level_scan(self, state):
         """One bottom-up pass of the level recursion, then every flip's
@@ -154,73 +164,86 @@ class WindingLandscape(Landscape):
 
         The recursion only ever XORs a prefix with the peak of the level
         below, which inverts exactly the prefix's top pair.  So f0[k] (the
-        level-k value of the first k pairs) and f1[k] (the same with pair k
-        inverted) hold every value the recursion can reach, and sel[k]
-        says which of the two the fitness passes through (None below the
-        level where the walk ends).
+        level-k value of the first k pairs) and f1[k] (pair k inverted:
+        side 1) hold every value it can reach.  Over prefix values
+        (g0, g1), level k on a side gives, for a pair 00 or 11, g0 if
+        a == side, else lift_k + g1; for a mixed pair at its peak (k = 1,
+        or pairs below 0^(2(k-2))11), rise_k if a != side, else dip_k; else
+        s-_k + g0.  sel[k] is the side the fitness reads at level k.
 
-        A flip in pair j leaves every level below j alone.  The only other
-        input a level reads is its at-peak test (pairs 1..k-2 all 00, pair
-        k-1 equal to 11).  Unless all pairs below j are 00, the flip changes
-        no such test, and its delta is just the change of level j's value
-        on the selected side.  Otherwise the tests can change at level j+1
-        and at the level above the next non-00 pair m; the delta is read at
-        level min(n, m+1), above which nothing changes.
+        A flip in pair j changes no level below j, and no at-peak test
+        unless all pairs below j are 00: else its delta is level j's change
+        on side sel[j].  If they are, the 00 pairs up to the next non-00
+        pair m add P_(m-1) - P_j to g1; level m is at its peak iff m = j+1
+        and the new pair j is 11, level m+1 iff it is 00 and pair m is 11;
+        above min(n, m+1), or above j without an m, nothing changes.
         """
         n = self.n
-        level = self._level
+        sm, lift, rise, dip = self._steps
+        pv = self.peak_value
+        # the lowest non-00 pair (0: none); the level at its peak: above it if it is 11, else 1
+        first = state.index(1) // 2 + 1 if 1 in state else 0
+        peak = first + 1 if first and state[2 * first - 2] == state[2 * first - 1] else 1
         f0 = [0] * (n + 1)
         f1 = [0] * (n + 1)
-        zero = [True] * (n + 1)      # zero[k]: pairs 1..k are all 00
-        at_peak = [True] * (n + 1)   # at_peak[k]: pairs 1..k-1 form the level-(k-1) peak
+        g0 = g1 = 0
         for k in range(1, n + 1):
             a, b = state[2 * k - 2], state[2 * k - 1]
-            at_peak[k] = k == 1 or (zero[k - 2] and state[2 * k - 4] == state[2 * k - 3] == 1)
-            f0[k], f1[k] = level(k, a, b, f0[k - 1], f1[k - 1], at_peak[k])
-            zero[k] = zero[k - 1] and a == b == 0
-
-        sel: list = [None] * (n + 1)
-        side = 0
-        for k in range(n, 0, -1):
-            sel[k] = side
-            a, b = state[2 * k - 2] ^ side, state[2 * k - 1] ^ side
             if a == b:
-                side = a
-            elif at_peak[k]:
-                break
+                g0, g1 = (lift[k] + g1, g0) if a else (g0, lift[k] + g1)
+            elif k == peak:
+                g0, g1 = (rise[k], dip[k]) if a else (dip[k], rise[k])
             else:
-                side = 0
+                g0 = g1 = sm[k] + g0
+            f0[k], f1[k] = g0, g1
 
         deltas = [0] * (2 * n)
-        above = None  # lowest non-00 pair above the current one
+        sel = [0] * (n + 1)
+        side = 0
+        m = 0  # the lowest non-00 pair above j, 0 if none
         for j in range(n, 0, -1):
             pa, pb = state[2 * j - 2], state[2 * j - 1]
-            top = j if not zero[j - 1] else n if above is None else min(n, above + 1)
-            side = sel[top]
-            if side is not None:
-                old = f1[top] if side else f0[top]
+            sel[j] = s = side
+            side = pa ^ side if pa == pb else 0  # below a peak nothing reads it
+            if first and j > first:
+                old = f1[j] if s else f0[j]
+                g0 = f0[j - 1]
+                if pa != pb:
+                    lifted = lift[j] + f1[j - 1]
+                    v0, v1 = (lifted, g0) if pa == s else (g0, lifted)
+                elif j == peak:
+                    v0, v1 = (rise[j], dip[j]) if pa == s else (dip[j], rise[j])
+                else:
+                    v0 = v1 = sm[j] + g0
+                deltas[2 * j - 2] = v0 - old
+                deltas[2 * j - 1] = v1 - old
+            else:
+                levels = (m, m + 1) if m < n else (m,)  # up to min(n, m+1)
                 for i, a, b in ((2 * j - 2, pa ^ 1, pb), (2 * j - 1, pa, pb ^ 1)):
-                    g = level(j, a, b, f0[j - 1], f1[j - 1], at_peak[j])
-                    if top > j:
-                        g = self._walk_up(state, j, a, b, g, top)
-                    deltas[i] = g[side] - old
+                    # level j over the all-00 prefix, whose values are (0, P_(j-1))
+                    if a == b:
+                        g0, g1 = (pv[j], 0) if a else (0, pv[j])
+                    elif j == 1:
+                        g0, g1 = (rise[1], dip[1]) if a else (dip[1], rise[1])
+                    else:
+                        g0 = g1 = sm[j]
+                    k = n
+                    if m:
+                        g1 += pv[m - 1] - pv[j]
+                        at_peak = m == j + 1 and a & b
+                        for k in levels:
+                            c, d = state[2 * k - 2], state[2 * k - 1]
+                            if c == d:
+                                g0, g1 = (lift[k] + g1, g0) if c else (g0, lift[k] + g1)
+                            elif at_peak:
+                                g0, g1 = (rise[k], dip[k]) if c else (dip[k], rise[k])
+                            else:
+                                g0 = g1 = sm[k] + g0
+                            at_peak = not a | b and c & d
+                    deltas[i] = g1 - f1[k] if sel[k] else g0 - f0[k]
             if pa or pb:
-                above = j
+                m = j
         return f0[n], tuple(deltas)
-
-    def _walk_up(self, state, j, a, b, g, top):
-        """Level-``top`` values of a state whose pairs 1..j-1 are all 00 and
-        whose pair j became (a, b) with level-j values ``g``; see
-        :meth:`_level_scan`."""
-        z_below = True                      # at level k: pairs 1..k-2 are all 00
-        z = a == b == 0                     # pairs 1..k-1 are all 00
-        top_pair_set = a == b == 1          # pair k-1 is 11
-        for k in range(j + 1, top + 1):
-            a, b = state[2 * k - 2], state[2 * k - 1]
-            g = self._level(k, a, b, g[0], g[1], z_below and top_pair_set)
-            z_below, z = z, z and a == b == 0
-            top_pair_set = a == b == 1
-        return g
 
     # -- moves / enumeration ------------------------------------------------
 
@@ -313,8 +336,6 @@ def winding_to_obj(landscape: WindingLandscape) -> dict:
 def winding_from_obj(obj: dict) -> WindingLandscape:
     if obj.get("format") != WINDING_FORMAT:
         raise WindingError(f"not a {WINDING_FORMAT} document")
-    schedule = StepSchedule(
-        tuple(int(x) for x in obj["s_plus"]),
-        tuple(int(x) for x in obj["s_minus"]),
-    )
-    return WindingLandscape(int(obj["n"]), schedule)
+    if type(obj["n"]) is not int:
+        raise WindingError(f"n must be an exact integer, got {obj['n']!r}")
+    return WindingLandscape(obj["n"], StepSchedule(tuple(obj["s_plus"]), tuple(obj["s_minus"])))

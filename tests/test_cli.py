@@ -15,7 +15,7 @@ from ascentlab.cli import (
 )
 from ascentlab.counting import SymbolCountingLandscape, make_counting_boolean_instance
 from ascentlab.landscapes import make_pairs_instance
-from ascentlab.vcsp import load_instance
+from ascentlab.vcsp import instance_to_obj, load_instance
 
 DATA = Path(__file__).parent / "data"
 
@@ -274,3 +274,34 @@ def test_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli_mod.rules, "verify_cpp_closure", patched)
     assert main(["verify", "cpp", "--n", "4"]) == EXIT_VERIFY_FAILED
     capsys.readouterr()
+
+
+def test_run_refuses_documents_whose_numbers_are_not_exact_integers(tmp_path, capsys):
+    winding = {"format": "winding-landscape/v1", "n": 2, "s_plus": [2, 3], "s_minus": [1, 1]}
+    pairs = instance_to_obj(make_pairs_instance(4, 3))
+    bad = [
+        dict(winding, n=2.9, s_plus=[2.7, "3"], s_minus=[True, 1.5]),
+        dict(winding, n=2.0), dict(winding, n=True), dict(winding, s_plus=[2, 3.0]),
+        dict(winding, s_plus=[2, "3"]), dict(winding, s_minus=[True, 1]),
+    ]
+    for path, value in ((("domains", 0), 2.9), (("constraints", 0, "weight"), 1.7),
+                        (("constraints", 0, "weight"), True), (("constraints", 1, "values", 3), "3"),
+                        (("constraints", 1, "scope", 0), 2.0)):
+        obj = json.loads(json.dumps(pairs))
+        *parents, last = path
+        target = obj
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        bad.append(obj)
+    for good in (winding, pairs):
+        inst = tmp_path / "good.json"
+        inst.write_text(json.dumps(good))
+        assert main(["run", str(inst), "--max-steps", "10"]) == EXIT_OK
+    capsys.readouterr()
+    for k, obj in enumerate(bad):
+        inst = tmp_path / f"bad{k}.json"
+        inst.write_text(json.dumps(obj))
+        assert main(["run", str(inst), "--max-steps", "10"]) == EXIT_INVALID, obj
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exact integer" in captured.err, obj

@@ -26,14 +26,17 @@ def unused_imports(source: str) -> list[str]:
 
 
 def unread_private_names(sources: list[str]) -> list[str]:
-    """Module-level private functions, classes and constants of ``sources``
-    that no source reads, as a name or as an attribute."""
+    """Module-level private functions, classes and constants, and private
+    methods of module-level classes, of ``sources`` that no source reads, as
+    a name or as an attribute."""
     trees = [ast.parse(source) for source in sources]
     defined = []
     for tree in trees:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append(node.name)
+                if isinstance(node, ast.ClassDef):
+                    defined += [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
             elif isinstance(node, ast.Assign):
                 defined += [t.id for t in node.targets if isinstance(t, ast.Name)]
             elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
@@ -66,8 +69,10 @@ def test_library_modules_use_every_import():
 
 def test_check_finds_an_unread_private_name():
     sources = ["_A = 1\n_B: int = 2\ndef _f(): pass\nclass _C: pass\n__version__ = 0\n",
-               "from m import _A\nx = m._f\n_A + 1\n"]
-    assert unread_private_names(sources) == ["_B", "_C"]
+               "from m import _A\nx = m._f\n_A + 1\n",
+               "class D:\n    def __init__(self): self._g()\n    def _g(self): pass\n"
+               "    def _h(self): pass\n    def h(self): pass\n"]
+    assert unread_private_names(sources) == ["_B", "_C", "_h"]
 
 
 def test_library_reads_every_private_name():

@@ -35,10 +35,10 @@ PRESETS = (StepSchedule.semismooth, StepSchedule.root2path)
 
 
 @st.composite
-def schedules(draw, max_n=5):
+def schedules(draw, max_n=5, min_n=1):
     """Schedules that StepSchedule accepts, with steps small enough that
     steepest-move ties are common."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     s_plus = sorted(draw(st.sets(st.integers(1, 39), min_size=n, max_size=n)))
     s_minus = [draw(st.integers(-20, min(s_plus[k], s_plus[max(k - 1, 0)]) - 1))
                for k in range(n)]
@@ -66,6 +66,7 @@ def check_winding_states(landscape, states):
         scan = landscape.move_deltas(x)
         assert scan == per_move(landscape, x)
         assert scan == by_values(landscape, value, x), x
+        assert landscape.move_deltas(x, range(1, len(x), 2)) == scan[1::2]
 
 
 # -- the hook equals delta on every family ------------------------------------
@@ -91,6 +92,35 @@ def test_winding_scan_on_random_states_of_larger_landscapes(n, seed):
     landscape = WindingLandscape(n, PRESETS[seed % 2](n))
     check_winding_states(
         landscape, [tuple(rng.randint(0, 1) for _ in range(2 * n)) for _ in range(20)])
+
+
+def walk_up_states(n, rng):
+    """States 0^(2(j-1)) p 0^(2r) q rest for every pair j, every p and every
+    m = j+r+1 with q one of 01, 10, 11, and with q left out (no m): the
+    flips of pair j make it 00, 11 or mixed and change the values of every
+    level from j up to min(n, m+1).  Random states seldom start with 00."""
+    for j in range(1, n + 1):
+        below = (0,) * (2 * (j - 1))
+        for p in itertools.product((0, 1), repeat=2):
+            yield below + p + (0,) * (2 * (n - j))
+            for m in range(j + 1, n + 1):
+                for q in ((0, 1), (1, 0), (1, 1)):
+                    rest = tuple(rng.randint(0, 1) for _ in range(2 * (n - m)))
+                    yield below + p + (0,) * (2 * (m - j - 1)) + q + rest
+
+
+@pytest.mark.parametrize("factory", PRESETS)
+def test_winding_scan_walking_up_over_zero_pairs(factory):
+    rng = random.Random(7)
+    for n in range(6, 13):
+        check_winding_states(WindingLandscape(n, factory(n)), walk_up_states(n, rng))
+
+
+@settings(max_examples=10, deadline=None)
+@given(schedules(max_n=12, min_n=6), st.integers(0, 2 ** 32))
+def test_winding_scan_walking_up_under_drawn_schedules(schedule, seed):
+    landscape = WindingLandscape(schedule.n, schedule)
+    check_winding_states(landscape, walk_up_states(schedule.n, random.Random(seed)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,7 +8,7 @@ from collections import deque
 
 import pytest
 
-from ascentlab import counting
+from ascentlab import counting, rules
 from ascentlab.counting import F_NONZERO, SymbolCountingLandscape, zero_state
 from ascentlab.rules import (
     AmbiguousPriorityError,
@@ -243,6 +243,18 @@ def test_verify_rule_arithmetic_all_chains():
                      "400 404", "100 101", "125 128", "28 32", "144 148",
                      "36 37"):
         assert fragment in rendered, fragment
+
+
+def test_every_chain_expects_values_that_rise_by_its_step_pattern():
+    # a chain passes only when its values equal the typed-in constants, so
+    # the constants themselves must rise: strictly, or weakly where named
+    chains = [chain for _, group in rules._CHAIN_GROUPS for chain in group]
+    assert len(chains) == 16
+    for label, windows, expected, weak in chains:
+        assert len(expected) == len(windows) >= 2, label
+        assert set(weak) <= set(range(len(expected) - 1)), label
+        for k, (x, y) in enumerate(zip(expected, expected[1:])):
+            assert x <= y if k in weak else x < y, (label, k)
 
 
 def test_verify_rule_arithmetic_reads_the_shipped_trigger_table(monkeypatch):

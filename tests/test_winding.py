@@ -58,6 +58,9 @@ def test_schedule_validation():
         StepSchedule((2, 3), (2, 1))   # s- < s+
     with pytest.raises(WindingError):
         StepSchedule((2, 3), (1, 2))   # s+_k > s-_(k+1)
+    for steps in (((True, 2), (0, 1)), ((1, 2), (0, 1.0)), ((1, 2.5), (0, 1))):
+        with pytest.raises(WindingError):
+            StepSchedule(*steps)       # steps are exact ints, never a bool or a float
     StepSchedule.semismooth(8)
     StepSchedule.root2path(8)
 
@@ -128,6 +131,30 @@ def test_invalid_states():
             landscape.delta(state, (0, 1))
     with pytest.raises(WindingError):
         landscape.delta((0, 0, 0, 0), (1, 2))  # a move to a non-bit
+
+
+def test_delta_reads_the_memo_of_an_equal_state_and_still_checks_its_input():
+    landscape = WindingLandscape(4)
+    state = landscape.peak_state(2)
+    expected = [landscape.evaluate(landscape.apply(state, (var, 1 - bit)))
+                - landscape.evaluate(state) for var, bit in enumerate(state)]
+    landscape.move_deltas(state)  # leaves `state` in the memo
+    twin = tuple(list(state))
+    assert twin == state and twin is not state
+    for var, bit in enumerate(state):
+        flip = (var, 1 - bit)
+        assert landscape.delta(state, flip) == expected[var]
+        assert landscape.delta(twin, flip) == expected[var]
+        assert landscape.delta(list(state), flip) == expected[var]
+        assert landscape.delta(state, (var, bit)) == 0
+    for value in (2, -1, None):
+        with pytest.raises(WindingError):
+            landscape.delta(state, (0, value))
+    for wrong in (state[:-2], state + (0, 0), state[:-1]):
+        landscape.delta(state, (0, 1))
+        with pytest.raises(WindingError):
+            landscape.delta(wrong, (0, 1))
+    assert landscape.delta(state, (0, 1)) == expected[0]
 
 
 def test_serialization_round_trip():
