@@ -30,9 +30,10 @@ from .search import (
     trace_table,
 )
 from .symbols import parse_symbol_state
-from .vcsp import VcspError, dump_instance, instance_from_obj, instance_to_obj
+from .vcsp import INSTANCE_FORMAT, VcspError, instance_from_obj, instance_to_obj
 from .winding import (
     SCHEDULE_PRESETS,
+    WINDING_FORMAT,
     StepSchedule,
     WindingError,
     WindingLandscape,
@@ -76,45 +77,44 @@ def _write_text(path: str | None, text: str) -> None:
 def cmd_gen(args) -> int:
     if args.kind == "winding":
         schedule = _schedule_from_args(args, args.n)
-        landscape = WindingLandscape(args.n, schedule)
-        obj = winding_to_obj(landscape)
-        _write_text(args.output, json.dumps(obj, indent=1, sort_keys=True) + "\n")
-        print(f"winding landscape: n={args.n} variables={2 * args.n} "
-              f"s_plus={list(schedule.s_plus)} s_minus={list(schedule.s_minus)}")
-        return EXIT_OK
-    if args.kind == "pairs":
-        if args.alpha is None:
-            raise CliError("pairs needs --alpha")
-        instance = make_pairs_instance(args.n, args.alpha)
-    elif args.kind == "counting-symbol":
-        instance = make_counting_symbol_instance(args.n)
-    elif args.kind == "counting-boolean":
-        instance = make_counting_boolean_instance(args.n)
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown kind {args.kind}")
-    if args.output and args.output != "-":
-        dump_instance(instance, args.output)
+        obj = winding_to_obj(WindingLandscape(args.n, schedule))
+        summary = (f"winding landscape: n={args.n} variables={2 * args.n} "
+                   f"s_plus={list(schedule.s_plus)} s_minus={list(schedule.s_minus)}")
     else:
-        json.dump(instance_to_obj(instance), sys.stdout, indent=1, sort_keys=True)
-        sys.stdout.write("\n")
-    arities = sorted({c.arity for c in instance.constraints})
-    weights = sorted({c.weight for c in instance.constraints})
-    print(f"{args.kind}: variables={instance.num_variables} "
-          f"constraints={len(instance.constraints)} arities={arities} "
-          f"weights={weights[:4]}{'...' if len(weights) > 4 else ''} "
-          f"metadata={json.dumps(instance.metadata, sort_keys=True)}")
+        if args.kind == "pairs":
+            if args.alpha is None:
+                raise CliError("pairs needs --alpha")
+            instance = make_pairs_instance(args.n, args.alpha)
+        elif args.kind == "counting-symbol":
+            instance = make_counting_symbol_instance(args.n)
+        else:  # counting-boolean; argparse restricts the choices
+            instance = make_counting_boolean_instance(args.n)
+        obj = instance_to_obj(instance)
+        arities = sorted({c.arity for c in instance.constraints})
+        weights = sorted({c.weight for c in instance.constraints})
+        summary = (f"{args.kind}: variables={instance.num_variables} "
+                   f"constraints={len(instance.constraints)} arities={arities} "
+                   f"weights={weights[:4]}{'...' if len(weights) > 4 else ''} "
+                   f"metadata={json.dumps(instance.metadata, sort_keys=True)}")
+    _write_text(args.output, json.dumps(obj, indent=1, sort_keys=True) + "\n")
+    print(summary)
     return EXIT_OK
 
 
 # -- run --------------------------------------------------------------------
 
 def _load_landscape(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    if type(obj) is not dict:
+        raise CliError(f"{path} holds a JSON {type(obj).__name__}, not a document object")
     fmt = obj.get("format")
-    if fmt == "winding-landscape/v1":
+    if fmt == WINDING_FORMAT:
         return winding_from_obj(obj)
-    if fmt == "vcsp-instance/v1":
+    if fmt == INSTANCE_FORMAT:
         instance = instance_from_obj(obj)
         if instance.metadata.get("kind") == "counting-symbol":
             return SymbolCountingLandscape.of_instance(instance)
@@ -182,7 +182,7 @@ def cmd_verify(args) -> int:
         n = args.n or 8
         report = rules.verify_steepest_equals_rules(n, budget=args.budget)
     elif suite == "gradient":
-        report = analysis.verify_gradient_formulas(2, args.n or 6)
+        report = analysis.verify_gradient_formulas(args.n or 6)
     elif suite == "pathwidth":
         report = analysis.verify_pathwidth(3, max(args.n or 10, 3))
     elif suite == "all":

@@ -219,12 +219,8 @@ class SymbolCountingLandscape(Landscape):
             raise VcspError(f"position {pos} out of range for {self.n} symbols")
         if new not in SYMBOL_INDEX:
             raise VcspError(f"{new!r} is not a symbol of the alphabet")
-        return self.instance._delta(
-            self.to_assignment(state), self.n - 1 - pos, SYMBOL_INDEX[new])
-
-    def move_deltas(self, state, variables=None) -> list[tuple]:
-        self._check_state(state)
-        return self._rescan(state, variables)
+        move = (self.n - 1 - pos, SYMBOL_INDEX[new])
+        return self.instance._move_deltas(self.to_assignment(state), (move,))[0][1]
 
     def _rescan(self, state, variables):
         instance_moves = self._instance_moves

@@ -7,17 +7,14 @@ application.  Moves are (variable, new_value) pairs; the canonical order is
 variables ascending, values ascending, which is also what the
 lowest-variable-index tie-break policy refers to.
 
-``move_deltas(state, variables=None)`` returns ``[(move, delta), ...]`` for
-every move from ``state`` in canonical order, each delta equal to
-``delta(state, move)``; given ``variables`` (ascending), only the moves of
-those variables.  It checks the state and hands the scan to the private
-``_rescan``, which the ascent engines' move table calls directly after a
-move it took: the state was checked where the ascent entered, and a move
-keeps it in its domains.  The default ``_rescan`` asks ``delta`` move by
-move; the VCSP landscape, and the symbol counting landscape that views one,
-read each constraint's table index once per scan, and the winding
-landscape makes one level pass per state, from which its ``delta`` reads
-each flip: the pass walks a run of 00 pairs in closed form.
+``move_deltas(state)`` returns ``[(move, delta), ...]`` for every move from
+``state`` in canonical order, each delta equal to ``delta(state, move)``.
+The base class writes it once: the family's ``_check_state`` hook, then the
+private ``_rescan(state, None)``.  Each family has one delta kernel behind
+``delta`` and ``_rescan``: the VCSP landscape, and the symbol counting
+landscape that views one, read each constraint's table index once per
+scan; the winding landscape's level pass checks the state and yields every
+flip's delta at once.
 
 ``affected(var)`` names, in ascending order, every variable whose moves or
 move deltas a move on ``var`` may change: the variable itself and the
@@ -27,10 +24,13 @@ moves and deltas depend only on the values of ``affected(var)``.  The
 ascent engines rely on both directions.  They keep a move -> delta table
 from step to step and, after a move on ``var``, replace only the moves of
 ``affected(var)``; and they memoise each variable's moves under the values
-of its ``affected`` variables, rescanning through ``move_deltas(state,
-variables)`` only those whose values are new.  The default, ``None``,
-means every variable: a black-box landscape gets one full scan per step.
-A landscape names a neighbourhood for every variable or for none.
+of its ``affected`` variables, rescanning only those whose values are new
+through ``_rescan(state, variables)``: only a landscape that names
+neighbourhoods is asked for a partial scan.  The default, ``None``, means
+every variable: a black-box landscape gets one full ``_rescan`` per step.
+A landscape names a neighbourhood for every variable or for none.  The
+table's ``_rescan`` calls check nothing: the state was checked where the
+ascent entered, and a move keeps it in its domains.
 
 ``domains()`` gives, per variable, the values it can take, in enumeration
 order.  The first value of each is the variable's value in ``zero_state()``;
@@ -64,22 +64,23 @@ class Landscape:
         return state[:var] + (value,) + state[var + 1:]
 
     def delta(self, state, move) -> int:
-        return self.evaluate(self.apply(state, move)) - self.evaluate(state)
+        """The exact fitness change of ``move`` from ``state``."""
+        raise NotImplementedError
 
-    def move_deltas(self, state, variables=None) -> list[tuple]:
-        """Every move from ``state`` with its delta, in canonical order;
-        only the moves of ``variables`` when given."""
-        return self._rescan(state, variables)
+    def move_deltas(self, state) -> list[tuple]:
+        """Every move from ``state`` with its delta, in canonical order."""
+        self._check_state(state)
+        return self._rescan(state, None)
+
+    def _check_state(self, state) -> None:
+        """Refuse a state outside the landscape; a family whose ``_rescan``
+        checks the state itself needs none."""
 
     def _rescan(self, state, variables):
-        """``move_deltas`` without a check of ``state`` of its own: the move
-        table's refresh after a move it took, from a state checked where
-        the ascent entered.  The default asks ``delta`` move by move."""
-        moves = self.moves(state)
-        if variables is not None:
-            wanted = set(variables)
-            moves = (move for move in moves if move[0] in wanted)
-        return [(move, self.delta(state, move)) for move in moves]
+        """``move_deltas`` without a check of ``state``; only the moves of
+        ``variables`` (ascending) unless None, which only a landscape that
+        names neighbourhoods is asked for."""
+        raise NotImplementedError
 
     def affected(self, var):
         """The variables whose moves or deltas a move on ``var`` may
@@ -126,9 +127,8 @@ class VcspLandscape(Landscape):
         var, value = move
         return self.instance.delta_evaluate(state, var, value)
 
-    def move_deltas(self, state, variables=None) -> list[tuple]:
+    def _check_state(self, state) -> None:
         self.instance._check_assignment(state)
-        return self._rescan(state, variables)
 
     def _rescan(self, state, variables):
         return self.instance._move_deltas(state, self.moves(state, variables))

@@ -166,11 +166,9 @@ def _successor(state, candidates):
     return chosen.apply(state), chosen
 
 
-def counting_path(n: int, start=None, stop=None) -> list[tuple[str, ...]]:
-    """The rule-driven counting path from ``start`` (default 0^N) to ``stop``
-    (default 01^(N-1)), inclusive."""
-    state = zero_state(n) if start is None else tuple(start)
-    stop = count_end_state(n) if stop is None else tuple(stop)
+def counting_path(n: int) -> list[tuple[str, ...]]:
+    """The rule-driven counting path from 0^N to 01^(N-1), inclusive."""
+    state, stop = zero_state(n), count_end_state(n)
     path = [state]
     budget = 2 ** (n + 5)
     while state != stop:

@@ -29,17 +29,14 @@ STEP_BUDGET = "step-budget"
 
 class TieError(RuntimeError):
     """Raised under fail-on-tie when several moves share the maximal delta.
-    The message names the state as ``shown``, its landscape's display form,
-    or else by its repr."""
+    The message names the state as ``shown``, its landscape's display form."""
 
-    def __init__(self, state, moves, delta, shown=None):
+    def __init__(self, state, moves, delta, shown):
         self.state = state
         self.moves = list(moves)
         self.delta = delta
         super().__init__(
-            f"steepest-move tie at {shown or repr(state)}: moves {self.moves} "
-            f"all improve by {delta}"
-        )
+            f"steepest-move tie at {shown}: moves {self.moves} all improve by {delta}")
 
 
 @dataclass(frozen=True)
@@ -106,9 +103,11 @@ class _MoveTable:
     every move.  Either way the groups chain into the full scan in
     canonical order, and no group list changes after the step that built it.
 
-    The start is checked by the landscape's first full scan; the refresh
-    after a move calls ``Landscape._rescan``, which does not check it again.
-    The memo belongs to the table and goes with it.
+    The start is checked by ``move_deltas``, the table's first full scan.
+    The refresh after a move calls the private ``_rescan``, which does not
+    check the state again: ``_rescan(state, None)`` for the one group, or
+    ``_rescan(state, misses)`` for the memo's misses.  The memo belongs to
+    the table and goes with it.
     """
 
     def __init__(self, landscape: Landscape, state):

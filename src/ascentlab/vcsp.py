@@ -133,23 +133,12 @@ class VcspInstance:
             raise VcspError(f"variable index {var} out of range")
         if not 0 <= new_value < self.domains[var]:
             raise VcspError(f"value {new_value} out of domain range for variable {var}")
-        return self._delta(assignment, var, new_value)
-
-    def _delta(self, assignment, var: int, new_value: int) -> int:
-        """``delta_evaluate`` of an in-range move from a checked assignment."""
-        step = new_value - assignment[var]
-        if step == 0:
-            return 0
-        delta = 0
-        for pos, stride in self._terms_by_var[var]:
-            c = self.constraints[pos]
-            before = self._table_index(c, assignment)
-            delta += c.weight * (c.values[before + step * stride] - c.values[before])
-        return delta
+        return self._move_deltas(assignment, ((var, new_value),))[0][1]
 
     def _move_deltas(self, assignment, moves) -> list[tuple]:
-        """``[(move, delta), ...]`` for in-range (var, new_value) moves from
-        a checked assignment: each table index the moves need is read once."""
+        """The instance's one delta kernel: ``[(move, delta), ...]`` for
+        in-range (var, new_value) moves from a checked assignment, each
+        table index the moves need read once."""
         constraints = self.constraints
         domains = self.domains
         terms_by_var = self._terms_by_var
@@ -224,19 +213,30 @@ def _exact_int(x) -> int:
     return x
 
 
+def _exact_ints(value, field: str) -> tuple[int, ...]:
+    """The list ``value`` of exact ints, as a tuple; refused naming ``field``."""
+    if type(value) is not list:
+        raise VcspError(f"{field} must be a list of exact integers, got {value!r}")
+    return tuple(map(_exact_int, value))
+
+
 def instance_from_obj(obj: dict) -> VcspInstance:
     if obj.get("format") != INSTANCE_FORMAT:
         raise VcspError(f"not a {INSTANCE_FORMAT} document")
-    constraints = tuple(
-        SoftConstraint(tuple(map(_exact_int, c["scope"])), _exact_int(c["weight"]),
-                       tuple(map(_exact_int, c["values"])))
-        for c in obj["constraints"]
-    )
-    return VcspInstance(
-        domains=tuple(map(_exact_int, obj["domains"])),
-        constraints=constraints,
-        metadata=obj.get("metadata", {}),
-    )
+    constraints = obj.get("constraints")
+    if type(constraints) is not list:
+        raise VcspError(f"constraints must be a list, got {constraints!r}")
+    built = []
+    for i, c in enumerate(constraints):
+        if type(c) is not dict or "weight" not in c:
+            raise VcspError(f"constraint {i} must be an object with a weight, got {c!r}")
+        built.append(SoftConstraint(_exact_ints(c.get("scope"), f"constraint {i} scope"),
+                                    _exact_int(c["weight"]),
+                                    _exact_ints(c.get("values"), f"constraint {i} values")))
+    domains, metadata = _exact_ints(obj.get("domains"), "domains"), obj.get("metadata", {})
+    if type(metadata) is not dict:
+        raise VcspError(f"metadata must be an object, got {metadata!r}")
+    return VcspInstance(domains, tuple(built), metadata)
 
 
 def dump_instance(instance: VcspInstance, path) -> None:

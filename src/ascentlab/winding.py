@@ -85,6 +85,8 @@ SCHEDULE_PRESETS = {
 
 class WindingLandscape(Landscape):
     def __init__(self, n: int, schedule: StepSchedule | None = None):
+        if type(n) is not int:
+            raise WindingError(f"n must be an exact integer, got {n!r}")
         if n < 1:
             raise WindingError("need n >= 1")
         if schedule is None:
@@ -120,9 +122,8 @@ class WindingLandscape(Landscape):
         return 0 if state[var] == value else deltas[var]
 
     def _rescan(self, state, variables):
-        """One level pass, then ``delta`` per flip, each a memo hit."""
-        if variables is not None:
-            return super()._rescan(state, variables)
+        """One level pass, then ``delta`` per flip, each a memo hit; the
+        landscape names no neighbourhoods, so ``variables`` is None."""
         state = tuple(state)
         self._scan(state)  # checks the state, and memoises it
         delta = self.delta
@@ -336,6 +337,8 @@ def winding_to_obj(landscape: WindingLandscape) -> dict:
 def winding_from_obj(obj: dict) -> WindingLandscape:
     if obj.get("format") != WINDING_FORMAT:
         raise WindingError(f"not a {WINDING_FORMAT} document")
-    if type(obj["n"]) is not int:
-        raise WindingError(f"n must be an exact integer, got {obj['n']!r}")
-    return WindingLandscape(obj["n"], StepSchedule(tuple(obj["s_plus"]), tuple(obj["s_minus"])))
+    steps = [obj.get(key) for key in ("s_plus", "s_minus")]
+    for key, value in zip(("s_plus", "s_minus"), steps):
+        if type(value) is not list:
+            raise WindingError(f"{key} must be a list of exact integers, got {value!r}")
+    return WindingLandscape(obj.get("n"), StepSchedule(*map(tuple, steps)))

@@ -290,7 +290,7 @@ def test_census_capacity_error():
 # -- verification suites ------------------------------------------------------------
 
 def test_verify_gradient_suite_passes():
-    report = verify_gradient_formulas(2, 4, aggregate_n=6)
+    report = verify_gradient_formulas(4, aggregate_n=6)
     assert report.passed
 
 

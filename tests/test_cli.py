@@ -305,3 +305,41 @@ def test_run_refuses_documents_whose_numbers_are_not_exact_integers(tmp_path, ca
         assert main(["run", str(inst), "--max-steps", "10"]) == EXIT_INVALID, obj
         captured = capsys.readouterr()
         assert captured.out == "" and "exact integer" in captured.err, obj
+
+
+def test_run_refuses_malformed_documents_naming_the_field(tmp_path, capsys):
+    winding = {"format": "winding-landscape/v1", "n": 2, "s_plus": [2, 3], "s_minus": [1, 1]}
+    pairs = instance_to_obj(make_pairs_instance(4, 3))
+    no_values = json.loads(json.dumps(pairs))
+    del no_values["constraints"][1]["values"]
+    no_weight = json.loads(json.dumps(pairs))
+    del no_weight["constraints"][0]["weight"]
+    no_s_plus = dict(winding)
+    del no_s_plus["s_plus"]
+    bad = [
+        (dict(winding, s_plus=5), "s_plus"),
+        (no_s_plus, "s_plus"),
+        (dict(winding, s_minus="11"), "s_minus"),
+        ({k: v for k, v in winding.items() if k != "n"}, "n must"),
+        (no_values, "constraint 1 values"),
+        (no_weight, "constraint 0 must be an object with a weight"),
+        (dict(pairs, constraints={}), "constraints"),
+        (dict(pairs, constraints=[5]), "constraint 0"),
+        (dict(pairs, domains=4), "domains"),
+        (dict(pairs, metadata=[1]), "metadata"),
+        ([winding], "JSON list"),
+        ("winding", "JSON str"),
+    ]
+    for k, (obj, named) in enumerate(bad):
+        inst = tmp_path / f"bad{k}.json"
+        inst.write_text(json.dumps(obj))
+        assert main(["run", str(inst), "--max-steps", "10"]) == EXIT_INVALID, obj
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), obj
+        assert named in captured.err, (obj, captured.err)
+    missing = tmp_path / "missing.json"
+    for argv in (["run", str(missing), "--max-steps", "10"],
+                 ["analyze", "census", "--instance", str(tmp_path)]):
+        assert main(argv) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: cannot read ")

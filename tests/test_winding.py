@@ -65,6 +65,14 @@ def test_schedule_validation():
     StepSchedule.root2path(8)
 
 
+def test_landscape_refuses_a_level_count_that_is_not_an_exact_integer():
+    for n in (True, 1.0, 2.0, "1", None):
+        with pytest.raises(WindingError, match="exact integer"):
+            WindingLandscape(n, StepSchedule((1,), (0,)))
+    with pytest.raises(WindingError):
+        WindingLandscape(0, StepSchedule((1,), (0,)))
+
+
 def test_single_level_values():
     landscape = WindingLandscape(1, StepSchedule((5,), (2,)))
     assert landscape.evaluate((1, 0)) == 5   # fittest step
