@@ -244,10 +244,10 @@ def local_optima_census(landscape: Landscape, max_states: int,
     One walk visits every state in Gray-code order on the ascent engines'
     move table: the fitness moves by each step's delta, only the groups the
     step makes stale are replaced, and a count of improving moves per group
-    says whether a state is a local maximum.  The table memoises each
-    variable's group under its neighbourhood's values, so a group is
-    rescanned once per neighbourhood value the walk meets, however many
-    states share it.  ``maxima`` are in ``iter_states`` order."""
+    says whether a state is a local maximum.  The table memoises the
+    groups of each neighbourhood run under its neighbourhood's values, so a
+    group is rescanned once per neighbourhood value the walk meets, however
+    many states share it.  ``maxima`` are in ``iter_states`` order."""
     total = landscape.state_count()
     if total > max_states:
         raise AnalysisError(

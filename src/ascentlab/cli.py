@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import analysis, rules
@@ -64,17 +65,32 @@ def _schedule_from_args(args, n: int) -> StepSchedule:
     return SCHEDULE_PRESETS[args.schedule](n)
 
 
+def _check_output(path: str | None) -> None:
+    """Refuse an output file in a directory that does not exist, or one that
+    is a directory, before the command does its work."""
+    if path is not None and path != "-":
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise CliError(f"cannot write {path}: no directory {directory}")
+        if os.path.isdir(path):
+            raise CliError(f"cannot write {path}: it is a directory")
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # -- gen --------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
+    _check_output(args.output)
     if args.kind == "winding":
         schedule = _schedule_from_args(args, args.n)
         obj = winding_to_obj(WindingLandscape(args.n, schedule))
@@ -139,6 +155,7 @@ def _parse_start(landscape, text: str | None):
 
 
 def cmd_run(args) -> int:
+    _check_output(args.trace_out)
     landscape = _load_landscape(args.instance)
     start = _parse_start(landscape, args.start)
     try:
@@ -202,6 +219,7 @@ def cmd_verify(args) -> int:
 # -- analyze ----------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
+    _check_output(args.out)
     if args.what == "scaling":
         schedule_name = args.schedule
         rows = ["n\tvariables\tsteps\tclosed_form"]

@@ -23,10 +23,12 @@ symmetric, so the contract also holds the other way round: ``var``'s own
 moves and deltas depend only on the values of ``affected(var)``.  The
 ascent engines rely on both directions.  They keep a move -> delta table
 from step to step and, after a move on ``var``, replace only the moves of
-``affected(var)``; and they memoise each variable's moves under the values
-of its ``affected`` variables, rescanning only those whose values are new
-through ``_rescan(state, variables)``: only a landscape that names
-neighbourhoods is asked for a partial scan.  The default, ``None``, means
+``affected(var)``; and they memoise the moves of each neighbourhood run
+(consecutive variables with equal ``affected``) under the values of its
+neighbourhood, rescanning only the runs whose values are new through
+``_rescan(state, variables)``: only a landscape that names neighbourhoods is
+asked for a partial scan.  By symmetry, ``affected(var)`` is a union of
+whole runs, so a move replaces a run whole.  The default, ``None``, means
 every variable: a black-box landscape gets one full ``_rescan`` per step.
 A landscape names a neighbourhood for every variable or for none.  The
 table's ``_rescan`` calls check nothing: the state was checked where the

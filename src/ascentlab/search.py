@@ -95,19 +95,22 @@ class _MoveTable:
 
     When the landscape names neighbourhoods (``Landscape.affected``), the
     table holds one group of (move, delta) pairs per variable, and a move on
-    ``v`` replaces only the groups of ``affected(v)``.  A variable's group
-    depends only on the values of its own ``affected`` variables, so the
-    table memoises each group under those values: a group whose values
-    were seen before in this table is reinstalled, and the rest are
-    rescanned together.  Otherwise it is one group, rescanned whole after
-    every move.  Either way the groups chain into the full scan in
-    canonical order, and no group list changes after the step that built it.
+    ``v`` replaces only the groups of ``affected(v)``.  Consecutive variables
+    with equal neighbourhoods form a neighbourhood run (the 4 bits of a
+    block of the Boolean lift are one run).  By symmetry, ``affected(v)`` is
+    a union of whole runs, so a run is replaced whole.  A run's groups
+    depend only on the values of its neighbourhood, so the table memoises
+    them together under those values: a run whose values were seen before
+    in this table is reinstalled, and the rest are rescanned together.
+    Otherwise it is one group, rescanned whole after every move.  Either
+    way the groups chain into the full scan in canonical order, and no
+    group list changes after the step that built it.
 
     The start is checked by ``move_deltas``, the table's first full scan.
     The refresh after a move calls the private ``_rescan``, which does not
     check the state again: ``_rescan(state, None)`` for the one group, or
-    ``_rescan(state, misses)`` for the memo's misses.  The memo belongs to
-    the table and goes with it.
+    ``_rescan(state, misses)`` for the variables of the memo's misses.  The
+    memo belongs to the table and goes with it.
     """
 
     def __init__(self, landscape: Landscape, state):
@@ -116,12 +119,23 @@ class _MoveTable:
         self.local = landscape.affected(0) is not None
         scan = landscape.move_deltas(state)
         if self.local:
-            self.groups = self._by_variable(scan)
-            # per variable: the values of its neighbourhood, and its groups by them
-            self._keys = [operator.itemgetter(*landscape.affected(var))
-                          for var in range(landscape.num_variables)]
-            self._memo = [{key(state): group}
-                          for key, group in zip(self._keys, self.groups)]
+            self.groups = groups = self._by_variable(scan)
+            n = landscape.num_variables
+            hoods = [landscape.affected(var) for var in range(n)]
+            cuts = [var for var in range(1, n) if hoods[var] != hoods[var - 1]]
+            # per run: its slot in `groups`, its neighbourhood's values, its
+            # groups by them, and its variables
+            runs, run_of = [], []
+            for lo, hi in zip([0, *cuts], [*cuts, n]):
+                slot, values = slice(lo, hi), operator.itemgetter(*hoods[lo])
+                runs.append((slot, values, {values(state): groups[slot]}, range(lo, hi)))
+                run_of += [len(runs) - 1] * (hi - lo)
+            # per variable: the groups a move on it replaces, and their runs
+            self._plans = []
+            for hood in hoods:
+                touched = [runs[r] for r in dict.fromkeys(run_of[u] for u in hood)]
+                replaced = tuple(itertools.chain.from_iterable(run[3] for run in touched))
+                self._plans.append((replaced, touched))
         else:
             self.groups = [scan]
 
@@ -159,21 +173,21 @@ class _MoveTable:
             # in place, like the per-variable groups: callers may hold `groups`
             self.groups[0] = landscape._rescan(state, None)
             return (0,)
-        affected = landscape.affected(move[0])
-        groups, keys, memo = self.groups, self._keys, self._memo
+        replaced, touched = self._plans[move[0]]
+        groups = self.groups
         misses = []
-        for var in affected:
-            key = keys[var](state)
-            group = memo[var].get(key)
-            if group is None:
-                misses.append(var)
-                groups[var] = memo[var][key] = []  # filled by the rescan below
-            else:
-                groups[var] = group
+        for slot, values, memo, variables in touched:
+            key = values(state)
+            run = memo.get(key)
+            if run is None:
+                misses += variables
+                # filled by the rescan below
+                run = memo[key] = [[] for _ in variables]
+            groups[slot] = run
         if misses:
             for entry in landscape._rescan(state, misses):
                 groups[entry[0][0]].append(entry)
-        return affected
+        return replaced
 
 
 def _walk(table, choose):
@@ -223,7 +237,7 @@ def first_improvement_ascent(landscape: Landscape, start, seed: int,
 
     def first_improving(table):
         groups = table.by_variable()
-        order = [var for var, group in enumerate(groups) if group]
+        order = list(itertools.compress(range(len(groups)), groups))
         rng.shuffle(order)
         for var in order:
             for move, d in groups[var]:

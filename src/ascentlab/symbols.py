@@ -82,11 +82,8 @@ def decode_bits(bits: tuple[int, ...]) -> tuple[str | None, ...]:
     """4N bit vector -> per-block symbols in display order (X_N ... X_1)."""
     if len(bits) % 4 != 0:
         raise ValueError("bit state length must be a multiple of 4")
-    n = len(bits) // 4
-    out = []
-    for i in range(n, 0, -1):
-        out.append(decode_block(tuple(bits[4 * (i - 1): 4 * i])))
-    return tuple(out)
+    # one iterator zipped with itself reads the bits 4 at a time
+    return tuple(map(CODE_TO_SYMBOL.get, zip(*[iter(bits)] * 4)))[::-1]
 
 
 def parse_symbol_state(text: str) -> tuple[str, ...]:

@@ -26,6 +26,7 @@ from ascentlab.counting import (
 )
 from ascentlab.landscapes import VcspLandscape, make_pairs_instance
 from ascentlab.rules import (
+    counting_path,
     verify_cpp_closure,
     verify_rule_arithmetic,
     verify_steepest_equals_rules,
@@ -91,6 +92,16 @@ def test_lockstep_steepest_equals_rules():
         assert report.passed, "\n".join(report.lines())
         steps = 7 * 2 ** (n - 1) - 4 * n - 4
         assert report.checks[-1].detail.startswith(f"{steps} identical steps "), n
+
+
+def test_counting_path_counts_in_binary():
+    # the plain-bit states on the rule path from 0^N to 01^(N-1), read as
+    # binary with X_N first, are 0, 1, ..., 2^(N-1) - 1, each once and in
+    # order, for N = 2..10
+    for n in range(2, 11):
+        counted = [int("".join(state), 2) for state in counting_path(n)
+                   if set(state) <= {"0", "1"}]
+        assert counted == list(range(2 ** (n - 1))), n
 
 
 def test_boolean_lift_lockstep():

@@ -343,3 +343,35 @@ def test_run_refuses_malformed_documents_naming_the_field(tmp_path, capsys):
         assert main(argv) == EXIT_INVALID
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: cannot read ")
+
+
+def test_gen_refuses_an_output_it_cannot_write(tmp_path, capsys):
+    # the last name passes the check made before the work, and open refuses it
+    for out, reason in ((tmp_path / "missing" / "pairs.json", "no directory"),
+                        (tmp_path, "it is a directory"),
+                        (tmp_path / ("x" * 300), "too long")):
+        assert main(["gen", "pairs", "--n", "6", "--alpha", "4", "-o", str(out)]) \
+            == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: cannot write ")
+        assert reason in captured.err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_run_refuses_a_trace_out_in_a_missing_directory_before_the_ascent(tmp_path, capsys):
+    inst = tmp_path / "w.json"
+    main(["gen", "winding", "--n", "6", "-o", str(inst)])
+    capsys.readouterr()
+    trace = tmp_path / "missing" / "trace.tsv"
+    code = main(["run", str(inst), "--max-steps", "200", "--trace-out", str(trace)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    # no summary line: the ascent never ran
+    assert captured.out == "" and captured.err.startswith("error: cannot write ")
+
+
+def test_analyze_refuses_an_out_in_a_missing_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "scaling.tsv"
+    assert main(["analyze", "scaling", "--max-n", "3", "--out", str(out)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: cannot write ")

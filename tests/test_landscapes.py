@@ -74,6 +74,20 @@ def test_encode_decode_round_trip():
     assert decode_bits(encode_state(state)) == state
 
 
+def test_decode_bits_is_decode_block_per_block_in_display_order():
+    rng = random.Random(5)
+    for n in range(0, 9):
+        for _ in range(40):
+            # random bit vectors: most blocks are not symbol codes
+            bits = tuple(rng.randint(0, 1) for _ in range(4 * n))
+            blocks = [decode_block(bits[4 * i: 4 * i + 4]) for i in range(n)]
+            assert decode_bits(bits) == tuple(reversed(blocks))
+    assert decode_bits((0,) * 8) == (None, None)
+    for length in (1, 2, 3, 5, 7, 41):
+        with pytest.raises(ValueError, match="multiple of 4"):
+            decode_bits((0,) * length)
+
+
 def test_encode_block_order_least_significant_first():
     # X_1's block occupies the first four bit variables
     state = ("0", "C")  # X_2 = 0, X_1 = C

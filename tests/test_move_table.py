@@ -1,6 +1,7 @@
 """The ascent loop's move -> delta table: after every step it equals a fresh
 scan on every landscape family, also on walks that revisit states and so
-reinstall memoised groups, a neighbourhood narrowed below the true one is
+reinstall memoised groups, its neighbourhood runs tile the variables and
+make up every neighbourhood, a neighbourhood narrowed below the true one is
 caught, and first-improvement over the table takes the same path as the
 per-move loop it replaced."""
 
@@ -25,6 +26,7 @@ from ascentlab.search import (
     first_improvement_ascent,
 )
 from ascentlab.symbols import SYMBOLS, encode_state
+from ascentlab.vcsp import SoftConstraint, VcspInstance
 from ascentlab.winding import StepSchedule, WindingLandscape
 
 from conftest import random_assignment, random_instance
@@ -47,6 +49,11 @@ def table_mismatch(landscape, start, rng, steps):
             return i
         table.step(rng.choice(list(table.entries()))[0])
     return None
+
+
+def table_runs(table):
+    """The table's neighbourhood runs, each as its variables, ascending."""
+    return sorted({tuple(run[3]) for _, touched in table._plans for run in touched})
 
 
 def revisiting_walk(landscape, start, rng, rounds):
@@ -171,6 +178,61 @@ def test_memo_on_revisiting_walks_of_the_counting_landscapes(seed):
     bits = boolean_lift(min(n, 5))
     start = tuple(rng.randint(0, 1) for _ in range(bits.num_variables))
     mismatch, hits = revisiting_walk(bits, start, rng, 40)
+    assert mismatch is None and hits > 0
+
+
+# -- neighbourhood runs: one memo key per run of equal neighbourhoods ---------
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_the_boolean_lift_has_one_run_per_block(n):
+    landscape = boolean_lift(n)
+    table = _MoveTable(landscape, encode_state(zero_state(n)))
+    assert table_runs(table) == [tuple(range(4 * i, 4 * i + 4)) for i in range(n)]
+    for var in range(landscape.num_variables):
+        replaced, touched = table._plans[var]
+        assert replaced == landscape.affected(var)
+        # a bit of an interior block touches its block and the two beside it
+        assert len(touched) == (3 if 4 <= var < 4 * n - 4 else 2)
+    symbols = SymbolCountingLandscape(n)
+    table = _MoveTable(symbols, zero_state(n))
+    assert table_runs(table) == [(var,) for var in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_a_neighbourhood_is_a_union_of_whole_runs(seed):
+    rng = random.Random(seed)
+    instance = random_instance(rng, max_domain=3, num_constraints=rng.randint(1, 5))
+    landscape = VcspLandscape(instance)
+    table = _MoveTable(landscape, random_assignment(rng, instance))
+    runs = table_runs(table)
+    affected = landscape.affected
+    # the runs tile the variables, and each is a maximal run of equal neighbourhoods
+    assert [var for run in runs for var in run] == list(range(instance.num_variables))
+    for run in runs:
+        assert len({affected(var) for var in run}) == 1
+    for run, after in zip(runs, runs[1:]):
+        assert affected(run[-1]) != affected(after[0])
+    for var in range(instance.num_variables):
+        assert table._plans[var][0] == affected(var)
+
+
+def test_runs_apart_with_one_neighbourhood_keep_their_own_memo():
+    # variables 0, 2 and 4 share the neighbourhood (0, 2, 4), and 1 and 3
+    # share (1, 3), yet no two of them are consecutive: five runs of one
+    rng = random.Random(4)
+    instance = VcspInstance((2, 3, 2, 3, 2), (
+        SoftConstraint((0, 2, 4), 1, tuple(rng.randint(0, 9) for _ in range(8))),
+        SoftConstraint((3, 1), 2, tuple(rng.randint(0, 9) for _ in range(9))),
+        SoftConstraint((2,), 3, (0, 5)),
+    ))
+    landscape = VcspLandscape(instance)
+    assert landscape.affected(0) == landscape.affected(2) == (0, 2, 4)
+    assert landscape.affected(1) == landscape.affected(3) == (1, 3)
+    start = (0, 0, 0, 0, 0)
+    assert table_runs(_MoveTable(landscape, start)) == [(var,) for var in range(5)]
+    assert table_mismatch(landscape, start, random.Random(2), 60) is None
+    mismatch, hits = revisiting_walk(landscape, start, random.Random(3), 40)
     assert mismatch is None and hits > 0
 
 

@@ -226,7 +226,8 @@ def test_counting_path_endpoints_and_admissibility():
 def test_counting_path_length_recurrence():
     lengths = {n: len(counting_path(n)) - 1 for n in range(2, 11)}
     assert lengths[2] == 2
-    # T(N) = 2 T(N-1) + 4(N - 1): exponential in the symbol count
+    # R(N) = 2 R(N-1) + 4(N - 1), the path length to 01^(N-1): exponential
+    # in the symbol count
     for n in range(3, 11):
         assert lengths[n] == 2 * lengths[n - 1] + 4 * (n - 1)
     assert lengths[10] == 3540
