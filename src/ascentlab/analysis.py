@@ -242,19 +242,17 @@ def local_optima_census(landscape: Landscape, max_states: int,
     """Exhaustive census of local maxima under the landscape's move set.
 
     One walk visits every state in Gray-code order on the ascent engines'
-    move table: the fitness moves by each step's delta, only the groups the
-    step makes stale are replaced, and a count of improving moves per group
-    says whether a state is a local maximum.  The table memoises the
-    groups of each neighbourhood run under its neighbourhood's values, so a
-    group is rescanned once per neighbourhood value the walk meets, however
-    many states share it.  ``maxima`` are in ``iter_states`` order."""
+    move table: only the groups each step makes stale are replaced, and a
+    count of improving moves per group says whether a state is a local
+    maximum, the only states evaluated.  The table memoises the groups of
+    each neighbourhood run under its neighbourhood's values, so a group is
+    rescanned once per neighbourhood value the walk meets, however many
+    states share it.  ``maxima`` are in ``iter_states`` order."""
     total = landscape.state_count()
     if total > max_states:
         raise AnalysisError(
             f"state space has {total} states, over the cap {max_states}")
-    state = landscape.zero_state()
-    fitness = landscape.evaluate(state)
-    table = _MoveTable(landscape, state)
+    table = _MoveTable(landscape, landscape.zero_state())
     groups = table.groups
     improving = [0] * len(groups)   # improving moves per group
     improving_total = 0
@@ -270,6 +268,7 @@ def local_optima_census(landscape: Landscape, max_states: int,
             improving_total += c
         if not improving_total:
             # a global maximum has no improving move, so it is met here
+            fitness = landscape.evaluate(table.state)
             count += 1
             if global_max is None or fitness > global_max:
                 global_max = fitness
@@ -280,7 +279,6 @@ def local_optima_census(landscape: Landscape, max_states: int,
         move = next(steps, None)
         if move is None:
             break
-        fitness += table.delta(move)
         rescanned = table.step(move)
     if keep_maxima:
         position = [{value: i for i, value in enumerate(values)}
@@ -353,13 +351,12 @@ def _missing_edge(graph: ConstraintGraph, scope):
     return None
 
 
-def verify_pathwidth(n_low: int = 3, n_high: int = 10, brute_force_n: int = 3,
-                     graph_of=None) -> Report:
+def verify_pathwidth(n_low: int = 3, n_high: int = 10, graph_of=None) -> Report:
     """The encoded counting instance's constraint graph has pathwidth and
     treewidth exactly 7 for every N in range.  The lexicographic variable
     order has width 7, an upper bound; every arity-8 scope is an 8-clique of
     the graph, and a k-clique forces treewidth >= k - 1, the lower bound.
-    Exact treewidth on the smallest case confirms both.
+    Exact treewidth at N = 3 confirms both.
 
     ``graph_of(instance)`` is the graph checked, by default the instance's
     constraint graph; passing a corrupted one shows the checks fire."""
@@ -392,10 +389,10 @@ def verify_pathwidth(n_low: int = 3, n_high: int = 10, brute_force_n: int = 3,
             detail = (f"{len(clique)}-clique {sorted(clique)} (a constraint scope) "
                       f"gives treewidth >= {lower}, the ordering pathwidth <= {width}")
         rep.add(f"width exactly 7, N={n}", ok, detail)
-    _, graph = graph_for(brute_force_n)
+    _, graph = graph_for(3)  # 12 vertices, under treewidth_exact's cap
     tw = treewidth_exact(graph)
     rep.add(
-        f"exact treewidth, N={brute_force_n}",
+        "exact treewidth, N=3",
         tw == 7,
         f"treewidth {tw} (dynamic programming over all elimination orders)",
     )

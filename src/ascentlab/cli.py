@@ -148,7 +148,7 @@ def _parse_start(landscape, text: str | None):
         return state
     width = landscape.num_variables
     cleaned = text.replace(",", " ").split()
-    bits = tuple(int(b) for b in ("".join(cleaned) if len(cleaned) > 1 else cleaned[0]))
+    bits = tuple(int(b) for b in "".join(cleaned))
     if len(bits) != width:
         raise CliError(f"start state needs {width} values")
     return bits
@@ -190,24 +190,26 @@ def _emit_report(report: Report, fmt: str) -> int:
 
 def cmd_verify(args) -> int:
     suite = args.suite
+    size = {"cpp": 4, "lockstep": 8, "gradient": 6, "pathwidth": 10,
+            "all": 8}.get(suite) if args.n is None else args.n
+    if suite in ("gradient", "all") and size < 2:  # it would check nothing and pass
+        raise CliError(f"verify {suite} needs --n >= 2")
     if suite == "arithmetic":
         report = rules.verify_rule_arithmetic()
     elif suite == "cpp":
-        n = args.n or 4
-        report = rules.verify_cpp_closure(n)
+        report = rules.verify_cpp_closure(size)
     elif suite == "lockstep":
-        n = args.n or 8
-        report = rules.verify_steepest_equals_rules(n, budget=args.budget)
+        report = rules.verify_steepest_equals_rules(size, budget=args.budget)
     elif suite == "gradient":
-        report = analysis.verify_gradient_formulas(args.n or 6)
+        report = analysis.verify_gradient_formulas(size)
     elif suite == "pathwidth":
-        report = analysis.verify_pathwidth(3, max(args.n or 10, 3))
+        report = analysis.verify_pathwidth(3, max(size, 3))
     elif suite == "all":
         report = Report("all verification suites")
         report.extend(rules.verify_rule_arithmetic())
         for n in (3, 4):
             report.extend(rules.verify_cpp_closure(n))
-        for n in range(2, (args.n or 8) + 1):
+        for n in range(2, size + 1):
             report.extend(rules.verify_steepest_equals_rules(n))
         report.extend(analysis.verify_gradient_formulas())
         report.extend(analysis.verify_pathwidth())
@@ -220,6 +222,9 @@ def cmd_verify(args) -> int:
 
 def cmd_analyze(args) -> int:
     _check_output(args.out)
+    if args.n is None and (args.what in ("gradient", "degree-bounds")
+                           or args.what == "census" and args.kind and not args.instance):
+        raise CliError(f"{args.what} needs --n")
     if args.what == "scaling":
         schedule_name = args.schedule
         rows = ["n\tvariables\tsteps\tclosed_form"]
@@ -263,7 +268,7 @@ def cmd_analyze(args) -> int:
         if args.instance:
             landscape = _load_landscape(args.instance)
         elif args.kind == "pairs":
-            landscape = VcspLandscape(make_pairs_instance(args.n, args.alpha or 2))
+            landscape = VcspLandscape(make_pairs_instance(args.n, args.alpha))
         elif args.kind == "counting-symbol":
             landscape = SymbolCountingLandscape(args.n)
         else:
@@ -330,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--max-n", type=int, default=14,
                          help="scaling: largest winding level")
     analyze.add_argument("--n", type=int, help="size parameter")
-    analyze.add_argument("--alpha", type=int)
+    analyze.add_argument("--alpha", type=int, default=2)
     analyze.add_argument("--kind", choices=["pairs", "counting-symbol"])
     analyze.add_argument("--instance", help="census an instance file")
     analyze.add_argument("--max-states", type=int, default=1_000_000)

@@ -212,16 +212,6 @@ class SymbolCountingLandscape(Landscape):
         self._check_state(state)
         return self.instance.evaluate(self.to_assignment(state))
 
-    def delta(self, state, move) -> int:
-        self._check_state(state)
-        pos, new = move
-        if not 0 <= pos < self.n:
-            raise VcspError(f"position {pos} out of range for {self.n} symbols")
-        if new not in SYMBOL_INDEX:
-            raise VcspError(f"{new!r} is not a symbol of the alphabet")
-        move = (self.n - 1 - pos, SYMBOL_INDEX[new])
-        return self.instance._move_deltas(self.to_assignment(state), (move,))[0][1]
-
     def _rescan(self, state, variables):
         instance_moves = self._instance_moves
         moves = []

@@ -8,13 +8,14 @@ variables ascending, values ascending, which is also what the
 lowest-variable-index tie-break policy refers to.
 
 ``move_deltas(state)`` returns ``[(move, delta), ...]`` for every move from
-``state`` in canonical order, each delta equal to ``delta(state, move)``.
-The base class writes it once: the family's ``_check_state`` hook, then the
-private ``_rescan(state, None)``.  Each family has one delta kernel behind
-``delta`` and ``_rescan``: the VCSP landscape, and the symbol counting
-landscape that views one, read each constraint's table index once per
-scan; the winding landscape's level pass checks the state and yields every
-flip's delta at once.
+``state`` in canonical order, each delta equal to ``delta(state, move)``,
+which the base class writes as two evaluations: the scan's oracle, sharing
+no code with it (winding alone overrides it, from its level pass).  The
+base class writes ``move_deltas`` once too: the family's ``_check_state``
+hook, then the private ``_rescan(state, None)``.  Each family has one delta
+kernel behind ``_rescan``: the VCSP landscape, and the symbol landscape
+that views one, read each constraint's table index once per scan; the
+winding level pass checks the state and yields every flip's delta at once.
 
 ``affected(var)`` names, in ascending order, every variable whose moves or
 move deltas a move on ``var`` may change: the variable itself and the
@@ -67,7 +68,9 @@ class Landscape:
 
     def delta(self, state, move) -> int:
         """The exact fitness change of ``move`` from ``state``."""
-        raise NotImplementedError
+        if not 0 <= move[0] < self.num_variables:  # apply would count it from the end
+            raise VcspError(f"variable index {move[0]} out of range")
+        return self.evaluate(self.apply(state, move)) - self.evaluate(state)
 
     def move_deltas(self, state) -> list[tuple]:
         """Every move from ``state`` with its delta, in canonical order."""
@@ -124,10 +127,6 @@ class VcspLandscape(Landscape):
 
     def evaluate(self, state) -> int:
         return self.instance.evaluate(state)
-
-    def delta(self, state, move) -> int:
-        var, value = move
-        return self.instance.delta_evaluate(state, var, value)
 
     def _check_state(self, state) -> None:
         self.instance._check_assignment(state)

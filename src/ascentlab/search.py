@@ -155,14 +155,6 @@ class _MoveTable:
         """The (move, delta) pairs grouped per variable, indexed by variable."""
         return self.groups if self.local else self._by_variable(self.groups[0])
 
-    def delta(self, move):
-        """The delta of ``move`` from the current state: read from the table
-        when it holds the move, else asked of the landscape."""
-        for entry, d in self.groups[move[0]] if self.local else self.groups[0]:
-            if entry == move:
-                return d
-        return self.landscape.delta(self.state, move)
-
     def step(self, move):
         """Set ``move``'s variable to its value (a move of the table or any
         other value of that variable's domain) and bring the table up to

@@ -122,23 +122,10 @@ class VcspInstance:
             total += c.weight * c.values[self._table_index(c, assignment)]
         return total
 
-    def delta_evaluate(self, assignment, var: int, new_value: int) -> int:
-        """Fitness change of setting ``var`` to ``new_value``.
-
-        Touches only the constraints whose scope contains ``var``; equal to
-        evaluate(assignment with var changed) - evaluate(assignment).
-        """
-        self._check_assignment(assignment)
-        if not 0 <= var < len(self.domains):
-            raise VcspError(f"variable index {var} out of range")
-        if not 0 <= new_value < self.domains[var]:
-            raise VcspError(f"value {new_value} out of domain range for variable {var}")
-        return self._move_deltas(assignment, ((var, new_value),))[0][1]
-
     def _move_deltas(self, assignment, moves) -> list[tuple]:
-        """The instance's one delta kernel: ``[(move, delta), ...]`` for
-        in-range (var, new_value) moves from a checked assignment, each
-        table index the moves need read once."""
+        """The one delta kernel, read by the landscapes' ``_rescan``:
+        ``[(move, delta), ...]`` for in-range (var, new_value) moves from a
+        checked assignment, each table index the moves need read once."""
         constraints = self.constraints
         domains = self.domains
         terms_by_var = self._terms_by_var

@@ -1,6 +1,7 @@
 """The local-optima census walks every state once in Gray-code order on the
 move table; it equals the per-state census it replaced on every landscape
-family, and a VCSP assignment is checked once per walk or ascent."""
+family, and a VCSP assignment is checked once per ascent, and once per
+local maximum in a census."""
 
 from __future__ import annotations
 
@@ -131,7 +132,7 @@ def test_zero_state_is_the_first_value_of_every_domain():
     assert winding.state_count() == 4 ** 3
 
 
-# -- a VCSP assignment is checked once per walk or ascent ---------------------------
+# -- a VCSP assignment is checked at the start and at each local maximum -----------
 
 @pytest.fixture
 def checks(monkeypatch):
@@ -146,11 +147,17 @@ def checks(monkeypatch):
     return calls
 
 
-def test_census_checks_the_assignment_once_per_walk(checks):
+def test_census_checks_the_zero_state_and_each_local_maximum_once(checks):
     landscape = VcspLandscape(make_pairs_instance(8, 3))
-    local_optima_census(landscape, 256)
-    # the start's evaluation and the table's first full scan
-    assert checks == [(0,) * 8, (0,) * 8]
+    census = local_optima_census(landscape, 256, keep_maxima=True)
+    # the table's first full scan, then the evaluation of each local
+    # maximum, in walk order; no other state is checked
+    maxima = [state for state, _ in census.maxima]
+    assert checks[0] == (0,) * 8 and len(checks) == 1 + len(maxima) == 17
+    walk = [(0,) * 8]
+    for move in _gray_steps(landscape.domains()):
+        walk.append(landscape.apply(walk[-1], move))
+    assert checks[1:] == [state for state in walk if state in maxima]
 
 
 def test_ascent_checks_the_start_only(checks):

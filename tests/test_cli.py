@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from ascentlab.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -375,3 +377,39 @@ def test_analyze_refuses_an_out_in_a_missing_directory(tmp_path, capsys):
     assert main(["analyze", "scaling", "--max-n", "3", "--out", str(out)]) == EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: cannot write ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "gradient"],
+    ["analyze", "degree-bounds"],
+    ["analyze", "census", "--kind", "pairs"],
+    ["analyze", "census", "--kind", "counting-symbol"],
+])
+def test_analyze_refuses_a_missing_n(argv, capsys):
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {argv[1]} needs --n\n"
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["verify", "cpp", "--n", "0"], "at least 2 symbol variables"),
+    (["verify", "lockstep", "--n", "0"], "at least 2 symbol variables"),
+    (["analyze", "census", "--kind", "pairs", "--n", "4", "--alpha", "0"], "alpha"),
+    # with fewer than 2 levels these would check nothing and pass
+    (["verify", "gradient", "--n", "1"], "verify gradient needs --n >= 2"),
+    (["verify", "all", "--n", "1"], "verify all needs --n >= 2"),
+])
+def test_a_given_value_is_never_swapped_for_the_default(argv, reason, capsys):
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and reason in captured.err
+
+
+def test_run_refuses_an_empty_start(tmp_path, capsys):
+    inst = tmp_path / "pairs.json"
+    main(["gen", "pairs", "--n", "4", "--alpha", "2", "-o", str(inst)])
+    capsys.readouterr()
+    for start in ("", " , "):
+        assert main(["run", str(inst), "--start", start, "--max-steps", "5"]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: start state needs 4 values\n"

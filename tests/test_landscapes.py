@@ -139,7 +139,7 @@ def test_symbol_landscape_rejects_invalid_states():
         landscape.delta(("0",) * 3, (0, "i01"))
     with pytest.raises(VcspError):
         landscape.delta(("0",) * 5, (0, "i01"))
-    for move in ((0, "Q"), (4, "i01"), (-1, "i01")):
+    for move in ((0, "Q"), (4, "i01"), (-1, "i01"), (-4, "i01")):
         with pytest.raises(VcspError):
             landscape.delta(("0",) * 4, move)
     for state in (("0",) * 3, ("0",) * 5, ("0", "Q", "0", "0")):
@@ -161,18 +161,20 @@ def test_counting_landscape_delta_matches_instance_delta():
     landscape = SymbolCountingLandscape(n)
     inst = make_counting_symbol_instance(n)
     rng = random.Random(99)
+
+    def instance_delta(state, move):
+        return (inst.evaluate(landscape.to_assignment(landscape.apply(state, move)))
+                - inst.evaluate(landscape.to_assignment(state)))
+
     for _ in range(500):
         state = tuple(rng.choice(SYMBOLS) for _ in range(n))
-        pos = rng.randrange(n)
-        new = rng.choice(ADJACENT_SYMBOLS[state[pos]])
-        var = n - 1 - pos
-        expected = inst.delta_evaluate(
-            landscape.to_assignment(state), var, SYMBOLS.index(new))
-        assert landscape.delta(state, (pos, new)) == expected
-        # any symbol, as the census's Gray-code steps ask, not only a move
-        new = rng.choice(SYMBOLS)
-        assert landscape.delta(state, (pos, new)) == (
-            landscape.evaluate(landscape.apply(state, (pos, new))) - landscape.evaluate(state))
+        # every entry of the scan, read from the instance's delta kernel
+        for move, d in landscape.move_deltas(state):
+            assert move[1] in ADJACENT_SYMBOLS[state[move[0]]]
+            assert d == instance_delta(state, move)
+        # any symbol, not only a move
+        move = (rng.randrange(n), rng.choice(SYMBOLS))
+        assert landscape.delta(state, move) == instance_delta(state, move)
 
 
 def test_trigger_pays_only_under_plain_bits():

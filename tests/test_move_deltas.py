@@ -155,6 +155,26 @@ def test_counting_default_scan_matches_delta():
         assert scan == by_values(landscape, value, state)
 
 
+@pytest.mark.parametrize("landscape, corrupted, move", [
+    (VcspLandscape(random_instance(random.Random(3))), (0, 1), (0, 1)),
+    (SymbolCountingLandscape(4), (0, SYMBOLS.index("i01")), (3, "i01")),
+])
+def test_scan_against_delta_catches_a_corrupted_kernel(monkeypatch, landscape,
+                                                        corrupted, move):
+    # the kernel off by one on the instance move ``corrupted`` (the
+    # landscape's ``move``) wherever it is asked: ``delta`` reads two
+    # evaluations, not the kernel, so the scan and ``delta`` disagree there
+    kernel = VcspInstance._move_deltas
+
+    def off_by_one(self, assignment, moves):
+        return [(m, d + (m == corrupted)) for m, d in kernel(self, assignment, moves)]
+
+    monkeypatch.setattr(VcspInstance, "_move_deltas", off_by_one)
+    state = landscape.zero_state()
+    scan, reference = landscape.move_deltas(state), per_move(landscape, state)
+    assert [m for (m, d), entry in zip(scan, reference) if (m, d) != entry] == [move]
+
+
 def test_gradient_reads_one_scan():
     class Scanned(WindingLandscape):
         scans = 0

@@ -11,7 +11,7 @@ from ascentlab.counting import (
     make_counting_boolean_instance,
     make_counting_symbol_instance,
 )
-from ascentlab.landscapes import make_pairs_instance
+from ascentlab.landscapes import VcspLandscape, make_pairs_instance
 from ascentlab.symbols import SYMBOLS
 from ascentlab.vcsp import (
     SoftConstraint,
@@ -69,32 +69,35 @@ def test_evaluate_rejects_bad_assignments():
 
 
 def test_delta_noop_and_pairs_example():
-    inst = make_pairs_instance(2, 3)
-    assert inst.delta_evaluate((0, 0), 0, 0) == 0
+    landscape = VcspLandscape(make_pairs_instance(2, 3))
+    assert landscape.delta((0, 0), (0, 0)) == 0
     # flipping x1 of (0,0) drops the pair value 1 -> 0
-    assert inst.delta_evaluate((0, 0), 0, 1) == -1
+    assert landscape.delta((0, 0), (0, 1)) == -1
 
 
 def test_delta_matches_two_evaluations_on_random_instances():
+    # the delta kernel, as the scan reads it, against two full evaluations
     rng = random.Random(20240811)
     checked = 0
     while checked < 1000:
         inst = random_instance(rng)
+        landscape = VcspLandscape(inst)
         for _ in range(20):
             a = random_assignment(rng, inst)
-            var = rng.randrange(inst.num_variables)
-            val = rng.randrange(inst.domains[var])
-            after = a[:var] + (val,) + a[var + 1:]
-            assert inst.delta_evaluate(a, var, val) == inst.evaluate(after) - inst.evaluate(a)
-            checked += 1
+            for (var, val), delta in landscape.move_deltas(a):
+                after = a[:var] + (val,) + a[var + 1:]
+                assert delta == inst.evaluate(after) - inst.evaluate(a)
+                checked += 1
 
 
 def test_delta_input_validation():
-    inst = make_pairs_instance(2, 2)
+    landscape = VcspLandscape(make_pairs_instance(2, 2))
     with pytest.raises(VcspError):
-        inst.delta_evaluate((0, 0), 5, 1)
+        landscape.delta((0, 0), (5, 1))
     with pytest.raises(VcspError):
-        inst.delta_evaluate((0, 0), 0, 3)
+        landscape.delta((0, 0), (0, 3))
+    with pytest.raises(VcspError):  # not variable 0, counted from the end
+        landscape.delta((0, 0), (-2, 1))
 
 
 def test_constraint_graph_pairs_is_perfect_matching():
