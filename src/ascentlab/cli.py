@@ -192,8 +192,10 @@ def cmd_verify(args) -> int:
     suite = args.suite
     size = {"cpp": 4, "lockstep": 8, "gradient": 6, "pathwidth": 10,
             "all": 8}.get(suite) if args.n is None else args.n
-    if suite in ("gradient", "all") and size < 2:  # it would check nothing and pass
-        raise CliError(f"verify {suite} needs --n >= 2")
+    # below these sizes a suite would check less than asked and still pass
+    least = {"gradient": 2, "all": 2, "pathwidth": 3}.get(suite)
+    if least is not None and size < least:
+        raise CliError(f"verify {suite} needs --n >= {least}")
     if suite == "arithmetic":
         report = rules.verify_rule_arithmetic()
     elif suite == "cpp":
@@ -203,7 +205,7 @@ def cmd_verify(args) -> int:
     elif suite == "gradient":
         report = analysis.verify_gradient_formulas(size)
     elif suite == "pathwidth":
-        report = analysis.verify_pathwidth(3, max(size, 3))
+        report = analysis.verify_pathwidth(3, size)
     elif suite == "all":
         report = Report("all verification suites")
         report.extend(rules.verify_rule_arithmetic())

@@ -221,16 +221,38 @@ def steepest_ascent(landscape: Landscape, start, policy: str = FAIL_ON_TIE,
                    max_steps)
 
 
+@functools.cache
+def _draws(length: int) -> tuple:
+    """The (i, k) of each draw in a shuffle of ``length`` items: i from
+    ``length - 1`` down to 1, and k = (i + 1).bit_length() bits a draw."""
+    return tuple((i, (i + 1).bit_length()) for i in range(length - 1, 0, -1))
+
+
+def _shuffle(order: list, getrandbits) -> None:
+    """Shuffle ``order`` in place as ``random.Random.shuffle`` does, from
+    the same generator's ``getrandbits``: for each (i, k) of ``_draws``,
+    read j with k bits until j <= i, then swap items i and j.  It leaves the
+    same list and generator state, without a Python-level ``_randbelow``
+    call per draw."""
+    for i, k in _draws(len(order)):
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        order[i], order[j] = order[j], order[i]
+
+
 def first_improvement_ascent(landscape: Landscape, start, seed: int,
                              *, max_steps: int) -> AscentTrace:
-    """Arbitrary-improving-flip baseline: per step, scan variables in a
-    seeded random order and take the first strictly improving move."""
-    rng = random.Random(seed)
+    """Arbitrary-improving-flip baseline: per step, scan the variables that
+    have moves in the order ``random.Random(seed).shuffle`` gives them (one
+    generator for the whole ascent), and take the first strictly improving
+    move."""
+    getrandbits = random.Random(seed).getrandbits
 
     def first_improving(table):
         groups = table.by_variable()
         order = list(itertools.compress(range(len(groups)), groups))
-        rng.shuffle(order)
+        _shuffle(order, getrandbits)
         for var in order:
             for move, d in groups[var]:
                 if d > 0:

@@ -202,6 +202,9 @@ def test_verify_exit_codes_and_json(capsys):
     assert main(["verify", "pathwidth", "--n", "5"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "width 7" in out
+    assert main(["verify", "pathwidth", "--n", "3"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "N=3" in out and "N=4" not in out and "result: PASS" in out
     assert main(["verify", "lockstep", "--n", "6", "--budget", "4096"]) == EXIT_OK
     capsys.readouterr()
 
@@ -398,6 +401,9 @@ def test_analyze_refuses_a_missing_n(argv, capsys):
     # with fewer than 2 levels these would check nothing and pass
     (["verify", "gradient", "--n", "1"], "verify gradient needs --n >= 2"),
     (["verify", "all", "--n", "1"], "verify all needs --n >= 2"),
+    # the width rows start at N = 3
+    *[(["verify", "pathwidth", "--n", n], "verify pathwidth needs --n >= 3")
+      for n in ("0", "1", "2")],
 ])
 def test_a_given_value_is_never_swapped_for_the_default(argv, reason, capsys):
     assert main(argv) == EXIT_INVALID

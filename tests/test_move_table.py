@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ascentlab import search
 from ascentlab.counting import (
     SymbolCountingLandscape,
     make_counting_boolean_instance,
@@ -324,6 +325,25 @@ def test_first_improvement_equals_the_per_move_loop(seed, max_steps):
     check_same_first_improvement(bits, encode_state(zero_state(4)), seed, max_steps)
     winding = WindingLandscape(4)
     check_same_first_improvement(winding, winding.origin(), seed, max_steps)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42])
+def test_first_improvement_check_fires_on_a_drifted_order(seed, monkeypatch):
+    # an order drawn one position short changes the stream: the per-move
+    # reference, which still calls rng.shuffle, must catch it
+    shuffle = search._shuffle
+
+    def short_shuffle(order, getrandbits):
+        head = order[:-1]
+        shuffle(head, getrandbits)
+        order[:-1] = head
+
+    monkeypatch.setattr(search, "_shuffle", short_shuffle)
+    with pytest.raises(AssertionError):
+        check_same_first_improvement(SymbolCountingLandscape(6), zero_state(6), seed, 10_000)
+    with pytest.raises(AssertionError):
+        check_same_first_improvement(boolean_lift(4), encode_state(zero_state(4)),
+                                     seed, 10_000)
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from ascentlab.search import (
     LOWEST_INDEX,
     STEP_BUDGET,
     TieError,
+    _shuffle,
     first_improvement_ascent,
     is_local_maximum,
     steepest_ascent,
@@ -137,6 +139,20 @@ def test_first_improvement_deterministic_per_seed():
     a = first_improvement_ascent(counting, zero_state(4), seed=5, max_steps=500)
     b = first_improvement_ascent(counting, zero_state(4), seed=5, max_steps=500)
     assert a.states() == b.states()
+
+
+def test_shuffle_makes_the_draws_of_random_shuffle():
+    # first-improvement's order must stay random.Random(seed).shuffle's, so
+    # that every seeded trace stays the same: the same list, and the
+    # generator left in the same state
+    for seed in range(100):
+        for length in [*range(71), 1000]:
+            expected, rng = list(range(length)), random.Random(seed)
+            rng.shuffle(expected)
+            got, twin = list(range(length)), random.Random(seed)
+            _shuffle(got, twin.getrandbits)
+            assert got == expected, (seed, length)
+            assert twin.getstate() == rng.getstate(), (seed, length)
 
 
 def test_counting_full_ascent_terminals_recorded():
