@@ -15,7 +15,7 @@ base class writes ``move_deltas`` once too: the family's ``_check_state``
 hook, then the private ``_rescan(state, None)``.  Each family has one delta
 kernel behind ``_rescan``: the VCSP landscape, and the symbol landscape
 that views one, read each constraint's table index once per scan; the
-winding level pass checks the state and yields every flip's delta at once.
+winding level pass yields every flip's delta at once.
 
 ``affected(var)`` names, in ascending order, every variable whose moves or
 move deltas a move on ``var`` may change: the variable itself and the
@@ -78,8 +78,7 @@ class Landscape:
         return self._rescan(state, None)
 
     def _check_state(self, state) -> None:
-        """Refuse a state outside the landscape; a family whose ``_rescan``
-        checks the state itself needs none."""
+        """Refuse a state outside the landscape."""
 
     def _rescan(self, state, variables):
         """``move_deltas`` without a check of ``state``; only the moves of

@@ -27,6 +27,8 @@ rather than picking silently.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 from .counting import SymbolCountingLandscape, count_end_state, zero_state
@@ -99,16 +101,28 @@ class RuleApplication:
         return state[:pos] + (self.new_symbol,) + state[pos + 1:]
 
 
-def _index_by_guard(kind: str) -> dict[tuple, list[Rule]]:
-    index: dict[tuple, list[Rule]] = {}
+def _apps_by_guard(kind: str, variable: dict) -> dict[tuple, list[RuleApplication]]:
+    """The applications of the ``kind`` rules by guard; ``variable`` maps
+    what a rule changes to the variable it rewrites."""
+    index: dict[tuple, list[RuleApplication]] = {}
     for rule in RULES.values():
         if rule.kind == kind:
-            index.setdefault(rule.guard, []).append(rule)
+            index.setdefault(rule.guard, []).append(
+                RuleApplication(rule.rule_id, variable[rule.changes], rule.new_symbol))
     return index
 
 
-_LAST_RULES = _index_by_guard("last")  # by (last,)
-_PAIR_RULES = _index_by_guard("pair")  # by (above, below)
+# by X_1, the one symbol of a last-symbol guard
+_LAST_APPS = {guard[0]: apps for guard, apps in _apps_by_guard("last", {"last": 1}).items()}
+_ORDER = operator.attrgetter("variable", "rule_id")
+
+
+@functools.cache
+def _pair_apps(n: int) -> tuple[dict, ...]:
+    """Per pair position k of an ``n``-symbol state, where (X_{i+1}, X_i) =
+    (state[k], state[k+1]): the applications there by guard."""
+    return tuple(_apps_by_guard("pair", {"above": n - k, "below": n - k - 1})
+                 for k in range(n - 1))
 
 
 def applicable_rules(state: tuple[str, ...]) -> list[RuleApplication]:
@@ -116,20 +130,17 @@ def applicable_rules(state: tuple[str, ...]) -> list[RuleApplication]:
 
     Matching is purely syntactic.  (Family-level applicability tables,
     which describe whole pattern families at once, are unions of these
-    per-state match sets over the family's members.)
+    per-state match sets over the family's members.)  The applications are
+    prebuilt, by X_1 and per pair position by guard, and sorted only when
+    more than one matches.
     """
     n = len(state)
-    out = []
-    if n == 1 or state[n - 2] in ("0", "1"):
-        # the X_2 guard of rule groups 1-2; vacuous for a lone variable
-        for rule in _LAST_RULES.get((state[n - 1],), ()):
-            out.append(RuleApplication(rule.rule_id, 1, rule.new_symbol))
-    for k, pair in enumerate(zip(state, state[1:])):  # (X_{i+1}, X_i) = (state[k], state[k+1])
-        above_var = n - k  # 1-based variable index of state[k]
-        for rule in _PAIR_RULES.get(pair, ()):
-            var = above_var if rule.changes == "above" else above_var - 1
-            out.append(RuleApplication(rule.rule_id, var, rule.new_symbol))
-    out.sort(key=lambda a: (a.variable, a.rule_id))
+    # the X_2 guard of rule groups 1-2; vacuous for a lone variable
+    out = list(_LAST_APPS.get(state[n - 1], ())) if n == 1 or state[n - 2] in ("0", "1") else []
+    for apps in filter(None, map(dict.get, _pair_apps(n), zip(state, state[1:]))):
+        out += apps
+    if len(out) > 1:
+        out.sort(key=_ORDER)
     return out
 
 
@@ -152,17 +163,19 @@ def rule_successor(state: tuple[str, ...]):
 
 
 def _successor(state, candidates):
-    """``rule_successor`` of ``state`` given its ``applicable_rules``."""
-    if not candidates:
+    """``rule_successor`` of ``state`` given its ``applicable_rules``; a
+    lone candidate is the successor without a priority pass."""
+    if len(candidates) > 1:
+        groups = [RULES[c.rule_id].group for c in candidates]
+        candidates = [
+            c for c, g in zip(candidates, groups)
+            if not any(_beats(h, g) for h in groups if h != g)
+        ]
+        if len(candidates) != 1:
+            raise AmbiguousPriorityError(state, [(c.rule_id, c.variable) for c in candidates])
+    elif not candidates:
         return None
-    groups = [RULES[c.rule_id].group for c in candidates]
-    maximal = [
-        c for c, g in zip(candidates, groups)
-        if not any(_beats(h, g) for h in groups if h != g)
-    ]
-    if len(maximal) != 1:
-        raise AmbiguousPriorityError(state, [(c.rule_id, c.variable) for c in maximal])
-    chosen = maximal[0]
+    chosen = candidates[0]
     return chosen.apply(state), chosen
 
 

@@ -16,6 +16,7 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .landscapes import Landscape
 
@@ -39,8 +40,10 @@ class TieError(RuntimeError):
             f"steepest-move tie at {shown}: moves {self.moves} all improve by {delta}")
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
+    """One record of an ascent, built once per step: a named tuple, cheap
+    to build and to hold."""
+
     state: tuple
     fitness: int
     move: tuple | None  # (variable, new_value); None on the start record
@@ -101,8 +104,11 @@ class _MoveTable:
     a union of whole runs, so a run is replaced whole.  A run's groups
     depend only on the values of its neighbourhood, so the table memoises
     them together under those values: a run whose values were seen before
-    in this table is reinstalled, and the rest are rescanned together.
-    Otherwise it is one group, rescanned whole after every move.  Either
+    in this table is reinstalled, and the rest are rescanned together.  A
+    one-variable run (each symbol of the counting landscape is one) memoises
+    its group itself and is reinstalled by item, not by slice.  A landscape
+    that names no neighbourhoods gets one group, rescanned whole after every
+    move.  Either
     way the groups chain into the full scan in canonical order, and no
     group list changes after the step that built it.
 
@@ -124,10 +130,12 @@ class _MoveTable:
             hoods = [landscape.affected(var) for var in range(n)]
             cuts = [var for var in range(1, n) if hoods[var] != hoods[var - 1]]
             # per run: its slot in `groups`, its neighbourhood's values, its
-            # groups by them, and its variables
+            # groups by them, and its variables; a one-variable run's slot is
+            # its variable, and it memoises its one group itself
             runs, run_of = [], []
             for lo, hi in zip([0, *cuts], [*cuts, n]):
-                slot, values = slice(lo, hi), operator.itemgetter(*hoods[lo])
+                slot = lo if hi - lo == 1 else slice(lo, hi)
+                values = operator.itemgetter(*hoods[lo])
                 runs.append((slot, values, {values(state): groups[slot]}, range(lo, hi)))
                 run_of += [len(runs) - 1] * (hi - lo)
             # per variable: the groups a move on it replaces, and their runs
@@ -174,7 +182,7 @@ class _MoveTable:
             if run is None:
                 misses += variables
                 # filled by the rescan below
-                run = memo[key] = [[] for _ in variables]
+                run = memo[key] = [] if type(slot) is int else [[] for _ in variables]
             groups[slot] = run
         if misses:
             for entry in landscape._rescan(state, misses):

@@ -122,29 +122,33 @@ class WindingLandscape(Landscape):
         return 0 if state[var] == value else deltas[var]
 
     def _rescan(self, state, variables):
-        """One level pass, then ``delta`` per flip, each a memo hit; the
-        landscape names no neighbourhoods, so ``variables`` is None."""
+        """One level pass, memoised unchecked like every ``_rescan``, then
+        ``delta`` per flip, each a memo hit; the landscape names no
+        neighbourhoods, so ``variables`` is None."""
         state = tuple(state)
-        self._scan(state)  # checks the state, and memoises it
+        self._memo = (state, self._level_scan(state))
         delta = self.delta
         return [(move, delta(state, move)) for move in map(getitem, self._flips, state)]
 
     def _scan(self, state):
-        """``(value, deltas)`` of a validated state: its fitness and, per
+        """``(value, deltas)`` of a checked state: its fitness and, per
         variable, the fitness change of flipping that variable."""
         state = tuple(state)
         memo = self._memo
         if memo is not None and memo[0] == state:
             return memo[1]
+        self._check_state(state)
+        scan = self._level_scan(state)
+        self._memo = (state, scan)
+        return scan
+
+    def _check_state(self, state) -> None:
         if len(state) % 2 != 0:
             raise WindingError("winding states have even length")
         if len(state) != 2 * self.n:
             raise WindingError(f"state has {len(state)} bits, expected {2 * self.n}")
         if not _BITS.issuperset(state):
-            raise WindingError(f"winding states hold only bits 0 and 1, got {state!r}")
-        scan = self._level_scan(state)
-        self._memo = (state, scan)
-        return scan
+            raise WindingError(f"winding states hold only bits 0 and 1, got {tuple(state)!r}")
 
     @cached_property
     def _flips(self):

@@ -195,6 +195,22 @@ def test_run_rejects_non_bit_winding_start(tmp_path, capsys):
     assert "bits" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("start, message", [
+    ("0000001", "start state needs 6 values"),       # odd length
+    ("00000000", "start state needs 6 values"),      # wrong length
+    ("000300", "winding states hold only bits 0 and 1, got (0, 0, 0, 3, 0, 0)"),
+])
+def test_run_refuses_a_bad_winding_start_with_exit_2(tmp_path, capsys, start, message):
+    inst = tmp_path / "w.json"
+    main(["gen", "winding", "--n", "3", "-o", str(inst)])
+    capsys.readouterr()
+    for engine in (["--engine", "steepest"], ["--engine", "first-improvement", "--seed", "1"]):
+        code = main(["run", str(inst), "--start", start, "--max-steps", "10", *engine])
+        captured = capsys.readouterr()
+        assert code == EXIT_INVALID == 2
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 def test_verify_exit_codes_and_json(capsys):
     assert main(["verify", "arithmetic", "--format", "json"]) == EXIT_OK
     obj = json.loads(capsys.readouterr().out)

@@ -138,6 +138,79 @@ def test_indexed_rule_match_equals_a_scan_of_every_rule():
         assert applicable_rules(state) == applicable_by_scan(state), state
 
 
+def applicable_by_pairs(state):
+    """The per-pair matcher ``applicable_rules`` used before its position
+    index: rules looked up by guard at every pair, each application built
+    afresh, then sorted."""
+    by_guard = {}
+    for rule in RULES.values():
+        by_guard.setdefault((rule.kind, rule.guard), []).append(rule)
+    n = len(state)
+    out = []
+    if n == 1 or state[n - 2] in ("0", "1"):
+        for rule in by_guard.get(("last", (state[n - 1],)), ()):
+            out.append(RuleApplication(rule.rule_id, 1, rule.new_symbol))
+    for k, pair in enumerate(zip(state, state[1:])):
+        above_var = n - k
+        for rule in by_guard.get(("pair", pair), ()):
+            var = above_var if rule.changes == "above" else above_var - 1
+            out.append(RuleApplication(rule.rule_id, var, rule.new_symbol))
+    out.sort(key=lambda a: (a.variable, a.rule_id))
+    return out
+
+
+def as_triples(apps):
+    return [(a.rule_id, a.variable, a.new_symbol) for a in apps]
+
+
+def test_position_index_gives_the_per_pair_matches_in_order():
+    for n in range(1, 5):
+        for state in itertools.product(SYMBOLS, repeat=n):
+            assert as_triples(applicable_rules(state)) == as_triples(
+                applicable_by_pairs(state)), state
+    rng = random.Random(2031)
+    for n in range(5, 15):
+        for _ in range(1_000):
+            state = tuple(rng.choice(SYMBOLS) for _ in range(n))
+            assert as_triples(applicable_rules(state)) == as_triples(
+                applicable_by_pairs(state)), state
+
+
+def successor_by_priority(state, candidates):
+    """``_successor`` with its priority pass run on every candidate list."""
+    if not candidates:
+        return None
+    groups = [RULES[c.rule_id].group for c in candidates]
+    maximal = [c for c, g in zip(candidates, groups)
+               if not any(rules._beats(h, g) for h in groups if h != g)]
+    if len(maximal) != 1:
+        raise AmbiguousPriorityError(state, [(c.rule_id, c.variable) for c in maximal])
+    return maximal[0].apply(state), maximal[0]
+
+
+def test_lone_candidate_successor_agrees_with_the_priority_pass():
+    lone = 0
+    for n in range(1, 11):
+        for state in counting_path(n):
+            candidates = applicable_rules(state)
+            lone += len(candidates) == 1
+            assert rules._successor(state, candidates) == successor_by_priority(
+                state, candidates), state
+    assert lone > 0
+
+
+def test_lockstep_fails_when_one_position_of_the_index_drops_a_rule(monkeypatch):
+    assert verify_steepest_equals_rules(6).passed
+    # the last pair: CC -> C iC0 at X_2 X_1 no longer offers rule 5a there
+    last = rules._pair_apps(6)[4]
+    monkeypatch.setitem(last, ("C", "C"),
+                        [app for app in last[("C", "C")] if app.rule_id != "5a"])
+    report = verify_steepest_equals_rules(6)
+    assert not report.passed
+    assert report.lines()[1].startswith("[FAIL] lockstep: improving flips differ from rules")
+    assert "improving-only=[(5, 'iC0')]" in report.lines()[1]
+
+
 def test_applicability_tables_reproduced_as_family_unions():
     # main-symbol table
     rows = [

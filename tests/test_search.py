@@ -17,6 +17,7 @@ from ascentlab.search import (
     LOWEST_INDEX,
     STEP_BUDGET,
     TieError,
+    TraceStep,
     _shuffle,
     first_improvement_ascent,
     is_local_maximum,
@@ -211,6 +212,19 @@ def test_trace_table_format():
     assert lines[0] == "step\tflipped_variable\tdelta\tfitness\tstate"
     assert lines[1] == "0\t\t0\t0\t01"
     assert lines[-1].startswith("# terminal")
+
+
+def test_trace_step_is_a_named_tuple_record():
+    assert TraceStep._fields == ("state", "fitness", "move", "delta")
+    step = TraceStep(("0", "i01"), 1, (1, "i01"), 1)
+    assert repr(step) == "TraceStep(state=('0', 'i01'), fitness=1, move=(1, 'i01'), delta=1)"
+    assert (step.state, step.fitness, step.move, step.delta) == (("0", "i01"), 1, (1, "i01"), 1)
+    with pytest.raises(AttributeError):
+        step.fitness = 2
+    assert step == TraceStep(("0", "i01"), 1, (1, "i01"), 1)
+    assert step != TraceStep(("0", "i01"), 1, (1, "i01"), 2)
+    start = steepest_ascent(SymbolCountingLandscape(2), ("0", "0"), max_steps=0).steps[0]
+    assert start == TraceStep(("0", "0"), 0, None, 0)
 
 
 def test_max_steps_is_mandatory():

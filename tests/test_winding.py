@@ -141,6 +141,24 @@ def test_invalid_states():
         landscape.delta((0, 0, 0, 0), (1, 2))  # a move to a non-bit
 
 
+def test_move_deltas_evaluate_and_delta_refuse_a_bad_state_alike():
+    landscape = WindingLandscape(2)
+    landscape.move_deltas((0, 0, 0, 0))  # a memo in place does not let a bad state by
+    cases = [
+        ((0, 1, 0), "winding states have even length"),
+        ((0, 1), "state has 2 bits, expected 4"),
+        ((0, 0, 0, 0, 0, 0), "state has 6 bits, expected 4"),
+        ((2, 0, 0, 0), "winding states hold only bits 0 and 1, got (2, 0, 0, 0)"),
+        ([0, 0, -1, 0], "winding states hold only bits 0 and 1, got (0, 0, -1, 0)"),
+    ]
+    for state, message in cases:
+        for call in (landscape.move_deltas, landscape.evaluate,
+                     lambda s: landscape.delta(s, (0, 1))):
+            with pytest.raises(WindingError) as refused:
+                call(state)
+            assert str(refused.value) == message, (state, call)
+
+
 def test_delta_reads_the_memo_of_an_equal_state_and_still_checks_its_input():
     landscape = WindingLandscape(4)
     state = landscape.peak_state(2)
