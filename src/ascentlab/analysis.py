@@ -242,31 +242,24 @@ def local_optima_census(landscape: Landscape, max_states: int,
     """Exhaustive census of local maxima under the landscape's move set.
 
     One walk visits every state in Gray-code order on the ascent engines'
-    move table: only the groups each step makes stale are replaced, and a
-    count of improving moves per group says whether a state is a local
-    maximum, the only states evaluated.  The table memoises the groups of
-    each neighbourhood run under its neighbourhood's values, so a group is
-    rescanned once per neighbourhood value the walk meets, however many
+    move table: only the neighbourhood runs each step makes stale are
+    replaced, and a state is a local maximum, the only states evaluated,
+    when no run has an improving entry.  The table memoises each run's
+    groups and improving entries under its neighbourhood's values, so a run
+    is rescanned once per neighbourhood value the walk meets, however many
     states share it.  ``maxima`` are in ``iter_states`` order."""
     total = landscape.state_count()
     if total > max_states:
         raise AnalysisError(
             f"state space has {total} states, over the cap {max_states}")
     table = _MoveTable(landscape, landscape.zero_state())
-    groups = table.groups
-    improving = [0] * len(groups)   # improving moves per group
-    improving_total = 0
-    rescanned = range(len(groups))
+    improving = table.improving   # per neighbourhood run, kept up to date in place
     count = 0
     global_max = worst_local = None
     kept = []
     steps = _gray_steps(landscape.domains())
     while True:
-        for g in rescanned:
-            improving_total -= improving[g]
-            improving[g] = c = len([d for _, d in groups[g] if d > 0])
-            improving_total += c
-        if not improving_total:
+        if not any(improving):
             # a global maximum has no improving move, so it is met here
             fitness = landscape.evaluate(table.state)
             count += 1
@@ -279,7 +272,7 @@ def local_optima_census(landscape: Landscape, max_states: int,
         move = next(steps, None)
         if move is None:
             break
-        rescanned = table.step(move)
+        table.step(move)
     if keep_maxima:
         position = [{value: i for i, value in enumerate(values)}
                     for values in landscape.domains()]

@@ -102,6 +102,16 @@ def make_counting_symbol_instance(n: int, f_table=None, h_table=None) -> VcspIns
     )
 
 
+# Per 4-bit pattern, its symbol's value index; None for non-symbols.
+_BLOCKS = [SYMBOL_INDEX.get(decode_block(bits)) for bits in itertools.product((0, 1), repeat=4)]
+# Reads an arity-8 table's entries, per pair of 4-bit patterns, from a symbol
+# pair table with a 0 appended: the entry of the pair's symbols, or the 0
+# when either pattern is not a symbol.
+_LIFT = operator.itemgetter(*(len(SYMBOLS) ** 2 if a is None or b is None
+                              else len(SYMBOLS) * a + b
+                              for a in _BLOCKS for b in _BLOCKS))
+
+
 def make_counting_boolean_instance(n: int) -> VcspInstance:
     """Arity-8 Boolean encoding of the counting VCSP on 4N bit variables: the
     symbol instance's tables lifted onto 4-bit blocks.
@@ -113,16 +123,8 @@ def make_counting_boolean_instance(n: int) -> VcspInstance:
     the lowest pair table.
     """
     *pairs, trigger = make_counting_symbol_instance(n).constraints
-    # per 4-bit pattern, its symbol's value index; None for non-symbols
-    blocks = [SYMBOL_INDEX.get(decode_block(bits))
-              for bits in itertools.product((0, 1), repeat=4)]
-
-    def lift(values):
-        return tuple(0 if a is None or b is None else values[len(SYMBOLS) * a + b]
-                     for a in blocks for b in blocks)
-
-    lowest = lift(tuple(map(operator.add, pairs[0].values, trigger.values)))
-    upper = lift(pairs[0].values)  # every pair constraint has the same table
+    lowest = _LIFT((*map(operator.add, pairs[0].values, trigger.values), 0))
+    upper = _LIFT((*pairs[0].values, 0))  # every pair constraint has the same table
     constraints = tuple(
         SoftConstraint(scope=tuple(4 * v + k for v in c.scope for k in range(4)),
                        weight=c.weight, values=upper if i else lowest)

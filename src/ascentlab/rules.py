@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .counting import SymbolCountingLandscape, count_end_state, zero_state
 from .report import Report
-from .search import TieError, _MoveTable, _steepest, _walk
+from .search import FAIL_ON_TIE, TieError, _MoveTable, _steepest, _walk
 from .symbols import format_symbol_state
 
 
@@ -480,8 +480,9 @@ def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
     fail-on-tie and the prioritized rules must produce the same state
     sequence up to the counting path's endpoint 01^(N-1), with the improving
     flips at every visited state exactly the guard-matching transitions.
-    Both sets come from the move table of steepest ascent's own walk, which
-    after each step recomputes only the deltas near the flipped position.
+    Both the move and the improving flips (the table's improving entries)
+    come from the move table of steepest ascent's own walk, which after each
+    step recomputes only the deltas near the flipped position.
     A tie or an ambiguous priority is reported as a failed check."""
     if landscape is None:
         landscape = SymbolCountingLandscape(n)
@@ -492,9 +493,9 @@ def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
     rep = Report(f"steepest-ascent / rule lockstep, N={n}")
     steps = 0
     table = _MoveTable(landscape, state)
-    walk = _walk(table, _steepest)  # fail-on-tie
+    walk = _walk(table, functools.partial(_steepest, FAIL_ON_TIE))
     while state != end:
-        improving = {m for m, d in table.entries() if d > 0}
+        improving = {m for m, _ in table.improving_entries()}
         candidates = applicable_rules(state)
         by_rule = {(len(state) - app.variable, app.new_symbol) for app in candidates}
         if improving != by_rule:

@@ -71,30 +71,43 @@ class AscentTrace:
         return [s.state for s in self.steps]
 
 
-def _steepest(table, policy=FAIL_ON_TIE):
+def _steepest(policy, table):
     """Steepest ascent's move from ``table.state``: the strictly improving
     move of maximal delta, as (move, delta), or (None, 0) at a local maximum.
     Several maximal moves are a tie, settled by ``policy``: the first in
-    canonical move order, or a ``TieError`` under fail-on-tie."""
+    canonical move order, or a ``TieError`` under fail-on-tie.  ``policy``
+    comes first so that a positional ``functools.partial`` binds it: a
+    keyword one costs more per call."""
     best_delta = 0
-    best: list[tuple] = []
-    for move, d in table.entries():
-        if d > best_delta:
-            best_delta = d
-            best = [move]
-        elif d == best_delta and d > 0:
-            best.append(move)
-    if not best:
-        return None, 0
-    if len(best) > 1 and policy == FAIL_ON_TIE:
+    best = None
+    tied = False
+    for move, d in table.improving_entries():
+        if d >= best_delta:  # one test for the moves below the maximum so far
+            if d > best_delta:
+                best_delta, best, tied = d, move, False
+            else:
+                tied = True
+    if tied and policy == FAIL_ON_TIE:
         state = table.state
-        raise TieError(state, best, best_delta, table.landscape.format_state(state))
-    return best[0], best_delta
+        moves = [move for move, d in table.improving_entries() if d == best_delta]
+        raise TieError(state, moves, best_delta, table.landscape.format_state(state))
+    return best, best_delta
+
+
+def _improving(slot, run):
+    """A neighbourhood run's improving entries: the (move, delta) pairs of
+    ``run``, its groups at ``slot``, with delta > 0, in canonical order.  A
+    tuple, which cannot change once built and holds no spare capacity (a
+    list would: the memo keeps one per run); a run with none gets the one
+    empty tuple the interpreter shares."""
+    entries = run if type(slot) is int else itertools.chain.from_iterable(run)
+    return tuple([entry for entry in entries if entry[1] > 0])
 
 
 class _MoveTable:
     """The ascent loop's move -> delta table: every move from ``state`` with
-    its delta, carried from step to step.
+    its delta, carried from step to step, and beside it the improving
+    entries, the moves of delta > 0.
 
     When the landscape names neighbourhoods (``Landscape.affected``), the
     table holds one group of (move, delta) pairs per variable, and a move on
@@ -102,15 +115,19 @@ class _MoveTable:
     with equal neighbourhoods form a neighbourhood run (the 4 bits of a
     block of the Boolean lift are one run).  By symmetry, ``affected(v)`` is
     a union of whole runs, so a run is replaced whole.  A run's groups
-    depend only on the values of its neighbourhood, so the table memoises
-    them together under those values: a run whose values were seen before
-    in this table is reinstalled, and the rest are rescanned together.  A
-    one-variable run (each symbol of the counting landscape is one) memoises
-    its group itself and is reinstalled by item, not by slice.  A landscape
-    that names no neighbourhoods gets one group, rescanned whole after every
-    move.  Either
-    way the groups chain into the full scan in canonical order, and no
-    group list changes after the step that built it.
+    depend only on the values of its neighbourhood, and so do its improving
+    entries, built once from the groups when the run is rescanned.  The
+    table memoises both together under those values: a run whose values
+    were seen before in this table is reinstalled, groups and improving
+    entries, and the rest are rescanned together.  A one-variable run (each
+    symbol of the counting landscape is one) memoises its group itself and
+    is reinstalled by item, not by slice.  A landscape that names no
+    neighbourhoods gets one group and one run, rescanned whole after every
+    move, and its improving entries are rebuilt with it.  Either way the
+    groups chain into the full scan in canonical order, the runs' improving
+    entries (``improving``, one tuple per run) chain into the scan's
+    improving moves in canonical order, and no group list or improving
+    tuple changes after the step that built it.
 
     The start is checked by ``move_deltas``, the table's first full scan.
     The refresh after a move calls the private ``_rescan``, which does not
@@ -130,13 +147,18 @@ class _MoveTable:
             hoods = [landscape.affected(var) for var in range(n)]
             cuts = [var for var in range(1, n) if hoods[var] != hoods[var - 1]]
             # per run: its slot in `groups`, its neighbourhood's values, its
-            # groups by them, and its variables; a one-variable run's slot is
-            # its variable, and it memoises its one group itself
-            runs, run_of = [], []
+            # groups and improving entries by them, its variables and its
+            # index in `improving`; a one-variable run's slot is its
+            # variable, and it memoises its one group itself
+            runs, run_of, self.improving = [], [], []
             for lo, hi in zip([0, *cuts], [*cuts, n]):
                 slot = lo if hi - lo == 1 else slice(lo, hi)
                 values = operator.itemgetter(*hoods[lo])
-                runs.append((slot, values, {values(state): groups[slot]}, range(lo, hi)))
+                run = groups[slot]
+                improving = _improving(slot, run)
+                runs.append((slot, values, {values(state): (run, improving)},
+                             range(lo, hi), len(runs)))
+                self.improving.append(improving)
                 run_of += [len(runs) - 1] * (hi - lo)
             # per variable: the groups a move on it replaces, and their runs
             self._plans = []
@@ -146,6 +168,7 @@ class _MoveTable:
                 self._plans.append((replaced, touched))
         else:
             self.groups = [scan]
+            self.improving = [_improving(0, scan)]
 
     def _by_variable(self, scan):
         groups = [[] for _ in range(self.landscape.num_variables)]
@@ -153,11 +176,13 @@ class _MoveTable:
             groups[entry[0][0]].append(entry)
         return groups
 
-    def entries(self):
-        """The (move, delta) pairs of the current state, in canonical order."""
-        if not self.local:
-            return self.groups[0]
-        return itertools.chain.from_iterable(self.groups)
+    def improving_entries(self):
+        """The (move, delta) pairs of the current state with delta > 0, in
+        canonical order."""
+        improving = self.improving
+        if len(improving) == 1:  # one run, as a black box has: its tuple, unchained
+            return improving[0]
+        return itertools.chain.from_iterable(improving)
 
     def by_variable(self):
         """The (move, delta) pairs grouped per variable, indexed by variable."""
@@ -171,22 +196,30 @@ class _MoveTable:
         self.state = state = landscape.apply(self.state, move)
         if not self.local:
             # in place, like the per-variable groups: callers may hold `groups`
-            self.groups[0] = landscape._rescan(state, None)
+            self.groups[0] = scan = landscape._rescan(state, None)
+            self.improving[0] = _improving(0, scan)
             return (0,)
         replaced, touched = self._plans[move[0]]
-        groups = self.groups
+        groups, improving = self.groups, self.improving
         misses = []
-        for slot, values, memo, variables in touched:
-            key = values(state)
-            run = memo.get(key)
-            if run is None:
+        for slot, values, memo, variables, index in touched:
+            hit = memo.get(values(state))
+            if hit is None:
                 misses += variables
                 # filled by the rescan below
-                run = memo[key] = [] if type(slot) is int else [[] for _ in variables]
-            groups[slot] = run
+                groups[slot] = [] if type(slot) is int else [[] for _ in variables]
+            else:
+                groups[slot], improving[index] = hit
         if misses:
             for entry in landscape._rescan(state, misses):
                 groups[entry[0][0]].append(entry)
+            # the runs just rescanned are the ones still missing from their memo
+            for slot, values, memo, _, index in touched:
+                key = values(state)
+                if key not in memo:
+                    run = groups[slot]
+                    improving[index] = run_improving = _improving(slot, run)
+                    memo[key] = run, run_improving
         return replaced
 
 
@@ -215,7 +248,7 @@ def _ascend(landscape: Landscape, start, choose, max_steps: int) -> AscentTrace:
         steps.append(TraceStep(table.state, fitness, move, delta))
     # the walk stops at a local maximum or is cut by the budget, possibly
     # at the top already: the table tells which
-    improving = any(d > 0 for _, d in table.entries())
+    improving = any(table.improving)
     return AscentTrace(steps, STEP_BUDGET if improving else LOCAL_OPTIMUM)
 
 
@@ -225,7 +258,7 @@ def steepest_ascent(landscape: Landscape, start, policy: str = FAIL_ON_TIE,
     budget; the trace records every visited state."""
     if policy not in TIE_POLICIES:
         raise ValueError(f"unknown tie policy {policy!r}")
-    return _ascend(landscape, start, functools.partial(_steepest, policy=policy),
+    return _ascend(landscape, start, functools.partial(_steepest, policy),
                    max_steps)
 
 

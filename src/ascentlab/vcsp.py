@@ -41,6 +41,17 @@ class SoftConstraint:
         return len(self.scope)
 
 
+def _holds_ints(values) -> bool:
+    """Whether every entry of ``values`` is an int (a bool counts, as it
+    does for a weight), read from their sum in one pass: a float,
+    ``Fraction`` or ``Decimal`` entry makes the sum one too, and a str or
+    None entry makes it fail."""
+    try:
+        return type(sum(values)) is int
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class VcspInstance:
     domains: tuple[int, ...]
@@ -54,6 +65,7 @@ class VcspInstance:
             if not isinstance(d, int) or d < 2:
                 raise VcspError(f"domain sizes must be integers >= 2, got {d!r}")
         n = len(self.domains)
+        checked = set()  # ids of the tables checked: constraints often share one
         for c in self.constraints:
             if len(c.scope) == 0:
                 raise VcspError("constraint scope must be non-empty")
@@ -71,6 +83,11 @@ class VcspInstance:
                 raise VcspError(
                     f"dense table for scope {c.scope} needs {size} entries, got {len(c.values)}"
                 )
+            if id(c.values) not in checked:
+                if not _holds_ints(c.values):
+                    bad = next((x for x in c.values if not isinstance(x, int)), None)
+                    raise VcspError(f"table for scope {c.scope} must hold integers, got {bad!r}")
+                checked.add(id(c.values))
 
     @property
     def num_variables(self) -> int:

@@ -285,6 +285,31 @@ def test_steepest_ascent_reports_a_tie_and_checks_its_policy_on_entry():
             steepest_ascent(landscape, (0, 0), "no-such-policy", max_steps=max_steps)
 
 
+def test_ties_inside_and_across_neighbourhood_runs_match_the_reference():
+    # variables 0 and 1 share one table, 2 and 3 another: two neighbourhood
+    # runs of two variables.  From 0000, (0, 1) and (1, 1) tie inside the
+    # first run; from 1000, (1, 1) and (2, 1) tie across the two runs.
+    instance = VcspInstance(domains=(2, 2, 2, 2), constraints=(
+        SoftConstraint((0, 1), 1, (0, 5, 5, 7)), SoftConstraint((2, 3), 1, (0, 1, 2, 3))))
+    landscape = VcspLandscape(instance)
+    assert [landscape.affected(var) for var in range(4)] == [(0, 1)] * 2 + [(2, 3)] * 2
+    for start, moves, delta in (((0, 0, 0, 0), [(0, 1), (1, 1)], 5),
+                                ((1, 0, 0, 0), [(1, 1), (2, 1)], 2)):
+        with pytest.raises(TieError) as got:
+            steepest_ascent(landscape, start, FAIL_ON_TIE, max_steps=10)
+        with pytest.raises(TieError) as want:
+            reference_ascent(landscape, instance.evaluate, start, FAIL_ON_TIE, 10)
+        assert (got.value.state, got.value.moves, got.value.delta) == (start, moves, delta)
+        assert (want.value.state, want.value.moves, want.value.delta) == (start, moves, delta)
+        shown = "".join(map(str, start))
+        assert str(got.value) == str(want.value) == (
+            f"steepest-move tie at {shown}: moves {moves} all improve by {delta}")
+    # lowest-index takes the first tied move in canonical order each time
+    trace = steepest_ascent(landscape, (0, 0, 0, 0), LOWEST_INDEX, max_steps=10)
+    assert [s.move for s in trace.steps[1:]] == [(0, 1), (1, 1), (2, 1), (3, 1)]
+    check_same_ascent(landscape, instance.evaluate, (0, 0, 0, 0), LOWEST_INDEX, 10)
+
+
 # -- the lockstep oracle computes each delta once -------------------------------
 
 def test_lockstep_reads_each_delta_once():

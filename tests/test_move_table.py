@@ -1,12 +1,14 @@
-"""The ascent loop's move -> delta table: after every step it equals a fresh
-scan on every landscape family, also on walks that revisit states and so
-reinstall memoised groups, its neighbourhood runs tile the variables and
-make up every neighbourhood, a neighbourhood narrowed below the true one is
-caught, and first-improvement over the table takes the same path as the
-per-move loop it replaced."""
+"""The ascent loop's move -> delta table: after every step its groups equal
+a fresh scan, and each neighbourhood run's improving entries that scan's
+improving moves on the run, on every landscape family, also on walks that
+revisit states and so reinstall memoised runs; its neighbourhood runs tile
+the variables and make up every neighbourhood, a neighbourhood narrowed
+below the true one is caught, and first-improvement over the table takes
+the same path as the per-move loop it replaced."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -33,12 +35,36 @@ from ascentlab.winding import StepSchedule, WindingLandscape
 from conftest import random_assignment, random_instance
 
 
+def entries(table):
+    """The table's (move, delta) pairs, its groups chained."""
+    return list(itertools.chain.from_iterable(table.by_variable()))
+
+
+def run_variables(table):
+    """The variables of each of the table's neighbourhood runs, by the run's
+    index in ``table.improving``."""
+    if not table.local:
+        return {0: range(table.landscape.num_variables)}
+    return {run[4]: run[3] for _, touched in table._plans for run in touched}
+
+
 def table_differs(landscape, table):
-    """Whether the table differs from a fresh ``move_deltas`` scan."""
-    if list(table.entries()) != landscape.move_deltas(table.state):
+    """Whether the table differs from a fresh ``move_deltas`` scan: its
+    groups, or any run's improving entries, the tuple of the scan's entries
+    on the run's variables with delta > 0."""
+    scan = landscape.move_deltas(table.state)
+    if entries(table) != scan:
         return True
     groups = table.by_variable()
-    return any(move[0] != var for var, group in enumerate(groups) for move, _ in group)
+    if any(move[0] != var for var, group in enumerate(groups) for move, _ in group):
+        return True
+    runs = run_variables(table)
+    if sorted(runs) != list(range(len(table.improving))):
+        return True
+    return any(
+        table.improving[index] != tuple(
+            entry for entry in scan if entry[0][0] in variables and entry[1] > 0)
+        for index, variables in runs.items())
 
 
 def table_mismatch(landscape, start, rng, steps):
@@ -48,7 +74,7 @@ def table_mismatch(landscape, start, rng, steps):
     for i in range(steps + 1):
         if table_differs(landscape, table):
             return i
-        table.step(rng.choice(list(table.entries()))[0])
+        table.step(rng.choice(entries(table))[0])
     return None
 
 
@@ -83,7 +109,7 @@ def revisiting_walk(landscape, start, rng, rounds):
             if r % 5 == 4:
                 plan = [(var, rng.choice(values)) for var, values in enumerate(domains)]
             else:
-                moves = [move for move, _ in table.entries()]
+                moves = [move for move, _ in entries(table)]
                 move = rng.choice(moves)
                 plan = [move, (move[0], table.state[move[0]]), rng.choice(moves)]
             for move in plan:

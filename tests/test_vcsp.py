@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -173,6 +175,28 @@ def test_instance_validation():
     with pytest.raises(VcspError):
         VcspInstance(domains=(2, 2),
                      constraints=(SoftConstraint((0, 1), -2, (0, 0, 0, 0)),))
+
+
+@pytest.mark.parametrize("entry", [0.5, Fraction(1, 2), "1"])
+def test_instance_refuses_a_table_entry_that_is_not_an_int(entry):
+    # such an entry scored as a float or a Fraction, or failed in the
+    # delta kernel, instead of being refused where the instance is built
+    with pytest.raises(VcspError, match=re.escape(
+            f"table for scope (0,) must hold integers, got {entry!r}")):
+        VcspInstance(domains=(2,), constraints=(SoftConstraint((0,), 1, (entry, 1)),))
+    # a table shared by several constraints is checked once, named by the
+    # first; a later constraint's own table is checked too
+    ok = (0, 1, 2, 3)
+    with pytest.raises(VcspError, match=re.escape("table for scope (1, 2) must hold")):
+        VcspInstance(domains=(2, 2, 2), constraints=(
+            SoftConstraint((0, 1), 1, ok), SoftConstraint((0, 2), 1, ok),
+            SoftConstraint((1, 2), 1, (0, 1, entry, 3)), SoftConstraint((2, 0), 1, ok)))
+
+
+@pytest.mark.parametrize("values", [(0.5, 0.5), (Fraction(1, 2), Fraction(1, 2))])
+def test_instance_refuses_non_int_entries_whose_sum_is_whole(values):
+    with pytest.raises(VcspError, match="must hold integers"):
+        VcspInstance(domains=(2,), constraints=(SoftConstraint((0,), 1, values),))
 
 
 def test_serialization_round_trip_identity(tmp_path):
