@@ -242,12 +242,14 @@ def local_optima_census(landscape: Landscape, max_states: int,
     """Exhaustive census of local maxima under the landscape's move set.
 
     One walk visits every state in Gray-code order on the ascent engines'
-    move table: only the neighbourhood runs each step makes stale are
-    replaced, and a state is a local maximum, the only states evaluated,
-    when no run has an improving entry.  The table memoises each run's
-    groups and improving entries under its neighbourhood's values, so a run
-    is rescanned once per neighbourhood value the walk meets, however many
-    states share it.  ``maxima`` are in ``iter_states`` order."""
+    table of improving entries: only the neighbourhood runs each step makes
+    stale are replaced, and a state is a local maximum, the only states
+    evaluated, when no run has an improving entry.  The table memoises each
+    run's improving entries under its neighbourhood's values, so a run is
+    rescanned once per neighbourhood value the walk meets, however many
+    states share it; a black box, whose one run is the whole state, the
+    walk never meets twice, and it is rescanned at every state with no
+    memo.  ``maxima`` are in ``iter_states`` order."""
     total = landscape.state_count()
     if total > max_states:
         raise AnalysisError(

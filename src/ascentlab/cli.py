@@ -147,11 +147,13 @@ def _parse_start(landscape, text: str | None):
             raise CliError(f"start state needs {landscape.n} symbols")
         return state
     width = landscape.num_variables
-    cleaned = text.replace(",", " ").split()
-    bits = tuple(int(b) for b in "".join(cleaned))
-    if len(bits) != width:
+    tokens = text.replace(",", " ").split()
+    if all(len(values) <= 10 for values in landscape.domains()):
+        tokens = "".join(tokens)  # every value is one digit: one per character
+    values = tuple(int(token) for token in tokens)
+    if len(values) != width:
         raise CliError(f"start state needs {width} values")
-    return bits
+    return values
 
 
 def cmd_run(args) -> int:

@@ -22,17 +22,18 @@ move deltas a move on ``var`` may change: the variable itself and the
 variables that share a cost term with it.  Sharing a cost term is
 symmetric, so the contract also holds the other way round: ``var``'s own
 moves and deltas depend only on the values of ``affected(var)``.  The
-ascent engines rely on both directions.  They keep a move -> delta table
-from step to step and, after a move on ``var``, replace only the moves of
-``affected(var)``; and they memoise the moves of each neighbourhood run
-(consecutive variables with equal ``affected``), and its improving entries
-(the moves of delta > 0, which steepest ascent reads), under the values of
-its neighbourhood, rescanning only the runs whose values are new through
-``_rescan(state, variables)``: only a landscape that names neighbourhoods is
-asked for a partial scan.  By symmetry, ``affected(var)`` is a union of
+ascent engines rely on both directions.  They keep a table of improving
+entries (the moves of delta > 0, with their deltas) from step to step, one
+tuple per neighbourhood run (consecutive variables with equal
+``affected``), and after a move on ``var`` replace only the runs of
+``affected(var)``.  They memoise each run's tuple under the values of its
+neighbourhood, rescanning only the runs whose values are new through
+``_rescan(state, variables)``: only a landscape that names neighbourhoods
+is asked for a partial scan.  By symmetry, ``affected(var)`` is a union of
 whole runs, so a move replaces a run whole.  The default, ``None``, means
 every variable: a black-box landscape gets one full ``_rescan`` per step,
-and its improving entries are rebuilt from it.
+with no memo, and so does a landscape whose every ``affected(var)`` names
+every variable.
 A landscape names a neighbourhood for every variable or for none.  The
 table's ``_rescan`` calls check nothing: the state was checked where the
 ascent entered, and a move keeps it in its domains.

@@ -94,44 +94,35 @@ def _steepest(policy, table):
     return best, best_delta
 
 
-def _improving(slot, run):
-    """A neighbourhood run's improving entries: the (move, delta) pairs of
-    ``run``, its groups at ``slot``, with delta > 0, in canonical order.  A
-    tuple, which cannot change once built and holds no spare capacity (a
-    list would: the memo keeps one per run); a run with none gets the one
-    empty tuple the interpreter shares."""
-    entries = run if type(slot) is int else itertools.chain.from_iterable(run)
-    return tuple([entry for entry in entries if entry[1] > 0])
+def _improving(scan):
+    """The (move, delta) pairs of ``scan`` with delta > 0, in its order."""
+    return tuple([entry for entry in scan if entry[1] > 0])
 
 
 class _MoveTable:
-    """The ascent loop's move -> delta table: every move from ``state`` with
-    its delta, carried from step to step, and beside it the improving
-    entries, the moves of delta > 0.
+    """The ascent loop's table of improving entries: the moves from
+    ``state`` with delta > 0, each with its delta, carried from step to
+    step.
 
-    When the landscape names neighbourhoods (``Landscape.affected``), the
-    table holds one group of (move, delta) pairs per variable, and a move on
-    ``v`` replaces only the groups of ``affected(v)``.  Consecutive variables
-    with equal neighbourhoods form a neighbourhood run (the 4 bits of a
-    block of the Boolean lift are one run).  By symmetry, ``affected(v)`` is
-    a union of whole runs, so a run is replaced whole.  A run's groups
-    depend only on the values of its neighbourhood, and so do its improving
-    entries, built once from the groups when the run is rescanned.  The
-    table memoises both together under those values: a run whose values
-    were seen before in this table is reinstalled, groups and improving
-    entries, and the rest are rescanned together.  A one-variable run (each
-    symbol of the counting landscape is one) memoises its group itself and
-    is reinstalled by item, not by slice.  A landscape that names no
-    neighbourhoods gets one group and one run, rescanned whole after every
-    move, and its improving entries are rebuilt with it.  Either way the
-    groups chain into the full scan in canonical order, the runs' improving
-    entries (``improving``, one tuple per run) chain into the scan's
-    improving moves in canonical order, and no group list or improving
-    tuple changes after the step that built it.
+    When the landscape names neighbourhoods (``Landscape.affected``),
+    consecutive variables with equal neighbourhoods form a neighbourhood
+    run (the 4 bits of a block of the Boolean lift are one run), and
+    ``improving`` holds one tuple per run: the run's improving entries in
+    canonical order.  ``run_of`` gives each variable's run.  By symmetry,
+    ``affected(v)`` is a union of whole runs, so a move on ``v`` replaces
+    those runs whole.  A run's improving entries depend only on the values
+    of its neighbourhood, and the table memoises them under those values: a
+    run whose values were seen before in this table is reinstalled, and the
+    rest are rescanned together, each entry of delta > 0 sent to its run.
+    A landscape that names no neighbourhoods, or names every variable as
+    every variable's, is a black box: one run, rescanned whole after every
+    move, with no memo, since a walk that never revisits a state would only
+    fill it.  Either way the tuples chain into the scan's improving moves in
+    canonical order, and no tuple changes after the step that built it.
 
     The start is checked by ``move_deltas``, the table's first full scan.
     The refresh after a move calls the private ``_rescan``, which does not
-    check the state again: ``_rescan(state, None)`` for the one group, or
+    check the state again: ``_rescan(state, None)`` for the black box, or
     ``_rescan(state, misses)`` for the variables of the memo's misses.  The
     memo belongs to the table and goes with it.
     """
@@ -139,42 +130,39 @@ class _MoveTable:
     def __init__(self, landscape: Landscape, state):
         self.landscape = landscape
         self.state = state
-        self.local = landscape.affected(0) is not None
+        n = landscape.num_variables
+        hoods = [landscape.affected(var) for var in range(n)]
+        self.local = any(hood is not None and len(hood) < n for hood in hoods)
         scan = landscape.move_deltas(state)
-        if self.local:
-            self.groups = groups = self._by_variable(scan)
-            n = landscape.num_variables
-            hoods = [landscape.affected(var) for var in range(n)]
-            cuts = [var for var in range(1, n) if hoods[var] != hoods[var - 1]]
-            # per run: its slot in `groups`, its neighbourhood's values, its
-            # groups and improving entries by them, its variables and its
-            # index in `improving`; a one-variable run's slot is its
-            # variable, and it memoises its one group itself
-            runs, run_of, self.improving = [], [], []
-            for lo, hi in zip([0, *cuts], [*cuts, n]):
-                slot = lo if hi - lo == 1 else slice(lo, hi)
-                values = operator.itemgetter(*hoods[lo])
-                run = groups[slot]
-                improving = _improving(slot, run)
-                runs.append((slot, values, {values(state): (run, improving)},
-                             range(lo, hi), len(runs)))
-                self.improving.append(improving)
-                run_of += [len(runs) - 1] * (hi - lo)
-            # per variable: the groups a move on it replaces, and their runs
-            self._plans = []
-            for hood in hoods:
-                touched = [runs[r] for r in dict.fromkeys(run_of[u] for u in hood)]
-                replaced = tuple(itertools.chain.from_iterable(run[3] for run in touched))
-                self._plans.append((replaced, touched))
-        else:
-            self.groups = [scan]
-            self.improving = [_improving(0, scan)]
+        if not self.local:
+            self.improving = [_improving(scan)]
+            self.run_of = [0] * n
+            return
+        cuts = [var for var in range(1, n) if hoods[var] != hoods[var - 1]]
+        # per run: its neighbourhood's values, its memo of improving entries
+        # by them, its variables and its index in `improving`
+        runs, self.run_of = [], []
+        for lo, hi in zip([0, *cuts], [*cuts, n]):
+            runs.append((operator.itemgetter(*hoods[lo]), {}, range(lo, hi), len(runs)))
+            self.run_of += [len(runs) - 1] * (hi - lo)
+        # per variable: the runs a move on it replaces
+        self._plans = [[runs[r] for r in dict.fromkeys(self.run_of[u] for u in hood)]
+                       for hood in hoods]
+        self.improving = [[] for _ in runs]
+        self._install(scan, [(memo, values(state), index) for values, memo, _, index in runs])
 
-    def _by_variable(self, scan):
-        groups = [[] for _ in range(self.landscape.num_variables)]
+    def _install(self, scan, missed):
+        """Send each entry of ``scan`` with delta > 0 to its run's list in
+        ``improving``, then turn the lists of the ``missed`` runs, each as
+        (memo, key, index), into tuples and memoise them: a tuple holds no
+        spare capacity, and a run with no entry gets the one empty tuple
+        the interpreter shares."""
+        improving, run_of = self.improving, self.run_of
         for entry in scan:
-            groups[entry[0][0]].append(entry)
-        return groups
+            if entry[1] > 0:
+                improving[run_of[entry[0][0]]].append(entry)
+        for memo, key, index in missed:
+            improving[index] = memo[key] = tuple(improving[index])
 
     def improving_entries(self):
         """The (move, delta) pairs of the current state with delta > 0, in
@@ -184,43 +172,28 @@ class _MoveTable:
             return improving[0]
         return itertools.chain.from_iterable(improving)
 
-    def by_variable(self):
-        """The (move, delta) pairs grouped per variable, indexed by variable."""
-        return self.groups if self.local else self._by_variable(self.groups[0])
-
     def step(self, move):
         """Set ``move``'s variable to its value (a move of the table or any
         other value of that variable's domain) and bring the table up to
-        date; returns the indices of the groups replaced."""
+        date."""
         landscape = self.landscape
         self.state = state = landscape.apply(self.state, move)
+        improving = self.improving
         if not self.local:
-            # in place, like the per-variable groups: callers may hold `groups`
-            self.groups[0] = scan = landscape._rescan(state, None)
-            self.improving[0] = _improving(0, scan)
-            return (0,)
-        replaced, touched = self._plans[move[0]]
-        groups, improving = self.groups, self.improving
-        misses = []
-        for slot, values, memo, variables, index in touched:
-            hit = memo.get(values(state))
+            improving[0] = _improving(landscape._rescan(state, None))
+            return
+        misses, missed = [], []
+        for values, memo, variables, index in self._plans[move[0]]:
+            key = values(state)
+            hit = memo.get(key)
             if hit is None:
                 misses += variables
-                # filled by the rescan below
-                groups[slot] = [] if type(slot) is int else [[] for _ in variables]
+                missed.append((memo, key, index))
+                improving[index] = []  # filled by the rescan below
             else:
-                groups[slot], improving[index] = hit
+                improving[index] = hit
         if misses:
-            for entry in landscape._rescan(state, misses):
-                groups[entry[0][0]].append(entry)
-            # the runs just rescanned are the ones still missing from their memo
-            for slot, values, memo, _, index in touched:
-                key = values(state)
-                if key not in memo:
-                    run = groups[slot]
-                    improving[index] = run_improving = _improving(slot, run)
-                    memo[key] = run, run_improving
-        return replaced
+            self._install(landscape._rescan(state, misses), missed)
 
 
 def _walk(table, choose):
@@ -284,20 +257,23 @@ def _shuffle(order: list, getrandbits) -> None:
 
 def first_improvement_ascent(landscape: Landscape, start, seed: int,
                              *, max_steps: int) -> AscentTrace:
-    """Arbitrary-improving-flip baseline: per step, scan the variables that
-    have moves in the order ``random.Random(seed).shuffle`` gives them (one
-    generator for the whole ascent), and take the first strictly improving
-    move."""
+    """Arbitrary-improving-flip baseline: per step, scan the variables in
+    the order ``random.Random(seed).shuffle`` gives them (one generator for
+    the whole ascent), and take the first strictly improving move.  Every
+    variable of every library landscape has a move from every state, so
+    the shuffle is of all of them, as a shuffle of the variables with a
+    move would be."""
     getrandbits = random.Random(seed).getrandbits
+    variables = range(landscape.num_variables)
 
     def first_improving(table):
-        groups = table.by_variable()
-        order = list(itertools.compress(range(len(groups)), groups))
+        order = list(variables)
         _shuffle(order, getrandbits)
+        improving, run_of = table.improving, table.run_of
         for var in order:
-            for move, d in groups[var]:
-                if d > 0:
-                    return move, d
+            for entry in improving[run_of[var]]:
+                if entry[0][0] == var:
+                    return entry
         return None, 0
 
     return _ascend(landscape, start, first_improving, max_steps)

@@ -185,9 +185,6 @@ class ConstraintGraph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.adjacency)
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.num_vertices) for j in self.adjacency[i] if i < j]
-
 
 # ---------------------------------------------------------------------------
 # Canonical instance document (JSON).  Round-trip is identity.

@@ -309,7 +309,7 @@ def test_min_fill_in_treewidth_of_networkx_agrees():
         graph = make_counting_boolean_instance(n).constraint_graph()
         g = nx.Graph()
         g.add_nodes_from(range(graph.num_vertices))
-        g.add_edges_from(graph.edges())
+        g.add_edges_from((u, v) for u, near in enumerate(graph.adjacency) for v in near)
         assert treewidth_min_fill_in(g)[0] == 7, n
 
 

@@ -427,6 +427,35 @@ def test_a_given_value_is_never_swapped_for_the_default(argv, reason, capsys):
     assert captured.out == "" and reason in captured.err
 
 
+def test_run_reads_one_value_per_token_when_a_domain_is_above_10(tmp_path, capsys):
+    inst = tmp_path / "wide.json"
+    inst.write_text(json.dumps({
+        "format": "vcsp-instance/v1", "domains": [12, 12, 12],
+        "constraints": [{"scope": [0], "weight": 1, "values": list(range(12))}]}))
+    assert main(["run", str(inst), "--start", "10 11 3", "--max-steps", "0"]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert "final_fitness=10 " in captured.out and captured.err == ""
+    # two tokens are two values, not the three digits they hold
+    assert main(["run", str(inst), "--start", "11 0", "--max-steps", "0"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: start state needs 3 values\n"
+
+
+def test_run_reads_one_value_per_digit_when_every_domain_is_at_most_10(tmp_path, capsys):
+    inst = tmp_path / "ten.json"
+    inst.write_text(json.dumps({
+        "format": "vcsp-instance/v1", "domains": [10, 10, 10],
+        "constraints": [{"scope": [0], "weight": 1, "values": list(range(10))}]}))
+    for start in ("11 0", "110", "1,1,0"):
+        assert main(["run", str(inst), "--start", start, "--max-steps", "0"]) == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert "final_fitness=1 " in captured.out and "final_state=110" in captured.out
+        assert captured.err == ""
+    assert main(["run", str(inst), "--start", "10 11 3", "--max-steps", "0"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: start state needs 3 values\n"
+
+
 def test_run_refuses_an_empty_start(tmp_path, capsys):
     inst = tmp_path / "pairs.json"
     main(["gen", "pairs", "--n", "4", "--alpha", "2", "-o", str(inst)])

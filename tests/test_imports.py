@@ -1,6 +1,7 @@
 """Every module-level import of the library is used, and every module-level
-private name is read somewhere in it: stdlib ``ast`` checks over
-``src/ascentlab`` (the package ``__init__`` re-exports by importing)."""
+private name and every method of a private class is read somewhere in it:
+stdlib ``ast`` checks over ``src/ascentlab`` (the package ``__init__``
+re-exports by importing)."""
 
 from __future__ import annotations
 
@@ -25,22 +26,30 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in used]
 
 
+def private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def unread_private_names(sources: list[str]) -> list[str]:
-    """Module-level private functions, classes and constants, and private
-    methods of module-level classes, of ``sources`` that no source reads, as
-    a name or as an attribute."""
+    """Module-level private functions, classes and constants, private
+    methods of module-level classes, and the public methods of module-level
+    private classes, of ``sources`` that no source reads, as a name or as an
+    attribute."""
     trees = [ast.parse(source) for source in sources]
     defined = []
     for tree in trees:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append(node.name)
+                defined += filter(private, [node.name])
                 if isinstance(node, ast.ClassDef):
-                    defined += [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
+                    methods = [f.name for f in node.body if isinstance(f, ast.FunctionDef)
+                               and not f.name.startswith("__")]
+                    defined += methods if private(node.name) else filter(private, methods)
             elif isinstance(node, ast.Assign):
-                defined += [t.id for t in node.targets if isinstance(t, ast.Name)]
+                defined += filter(private, [t.id for t in node.targets
+                                            if isinstance(t, ast.Name)])
             elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                defined.append(node.target.id)
+                defined += filter(private, [node.target.id])
     read = set()
     for tree in trees:
         for node in ast.walk(tree):
@@ -48,8 +57,7 @@ def unread_private_names(sources: list[str]) -> list[str]:
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return [name for name in defined
-            if name.startswith("_") and not name.startswith("__") and name not in read]
+    return [name for name in defined if name not in read]
 
 
 def test_check_finds_an_unused_import():
@@ -71,8 +79,10 @@ def test_check_finds_an_unread_private_name():
     sources = ["_A = 1\n_B: int = 2\ndef _f(): pass\nclass _C: pass\n__version__ = 0\n",
                "from m import _A\nx = m._f\n_A + 1\n",
                "class D:\n    def __init__(self): self._g()\n    def _g(self): pass\n"
-               "    def _h(self): pass\n    def h(self): pass\n"]
-    assert unread_private_names(sources) == ["_B", "_C", "_h"]
+               "    def _h(self): pass\n    def h(self): pass\n",
+               "class _E:\n    def __init__(self): self.f()\n    def f(self): pass\n"
+               "    def g(self): pass\n    def _k(self): pass\nx = _E()\n"]
+    assert unread_private_names(sources) == ["_B", "_C", "_h", "g", "_k"]
 
 
 def test_library_reads_every_private_name():

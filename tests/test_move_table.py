@@ -1,10 +1,11 @@
-"""The ascent loop's move -> delta table: after every step its groups equal
-a fresh scan, and each neighbourhood run's improving entries that scan's
-improving moves on the run, on every landscape family, also on walks that
-revisit states and so reinstall memoised runs; its neighbourhood runs tile
-the variables and make up every neighbourhood, a neighbourhood narrowed
-below the true one is caught, and first-improvement over the table takes
-the same path as the per-move loop it replaced."""
+"""The ascent loop's table of improving entries: after every step each
+neighbourhood run's improving entries equal a fresh scan's improving moves
+on the run, on every landscape family, also on walks that revisit states
+and so reinstall memoised runs; its neighbourhood runs tile the variables
+and make up every neighbourhood, a neighbourhood of every variable is the
+black box, a neighbourhood narrowed below the true one is caught, and
+first-improvement over the table takes the same path as the per-move loop
+it replaced."""
 
 from __future__ import annotations
 
@@ -35,35 +36,45 @@ from ascentlab.winding import StepSchedule, WindingLandscape
 from conftest import random_assignment, random_instance
 
 
-def entries(table):
-    """The table's (move, delta) pairs, its groups chained."""
-    return list(itertools.chain.from_iterable(table.by_variable()))
+def moves(table):
+    """Every move from the table's state, in canonical order."""
+    return list(table.landscape.moves(table.state))
 
 
 def run_variables(table):
     """The variables of each of the table's neighbourhood runs, by the run's
-    index in ``table.improving``."""
+    index in ``table.improving``, as ``table.run_of`` assigns them."""
+    runs = {}
+    for var, index in enumerate(table.run_of):
+        runs.setdefault(index, []).append(var)
+    return runs
+
+
+def replaced_variables(table, var):
+    """The variables of the runs that a move on ``var`` replaces: every
+    variable in a black box."""
     if not table.local:
-        return {0: range(table.landscape.num_variables)}
-    return {run[4]: run[3] for _, touched in table._plans for run in touched}
+        return tuple(range(table.landscape.num_variables))
+    return tuple(itertools.chain.from_iterable(run[2] for run in table._plans[var]))
 
 
 def table_differs(landscape, table):
     """Whether the table differs from a fresh ``move_deltas`` scan: its
-    groups, or any run's improving entries, the tuple of the scan's entries
-    on the run's variables with delta > 0."""
-    scan = landscape.move_deltas(table.state)
-    if entries(table) != scan:
+    improving entries, the run of any of them, or any run's improving
+    entries, the tuple of the scan's entries on the run's variables with
+    delta > 0."""
+    improving = [entry for entry in landscape.move_deltas(table.state) if entry[1] > 0]
+    if list(table.improving_entries()) != improving:
         return True
-    groups = table.by_variable()
-    if any(move[0] != var for var, group in enumerate(groups) for move, _ in group):
+    if any(table.run_of[move[0]] != index
+           for index, run in enumerate(table.improving) for move, _ in run):
         return True
     runs = run_variables(table)
     if sorted(runs) != list(range(len(table.improving))):
         return True
     return any(
         table.improving[index] != tuple(
-            entry for entry in scan if entry[0][0] in variables and entry[1] > 0)
+            entry for entry in improving if entry[0][0] in variables)
         for index, variables in runs.items())
 
 
@@ -74,13 +85,14 @@ def table_mismatch(landscape, start, rng, steps):
     for i in range(steps + 1):
         if table_differs(landscape, table):
             return i
-        table.step(rng.choice(entries(table))[0])
+        table.step(rng.choice(moves(table)))
     return None
 
 
 def table_runs(table):
-    """The table's neighbourhood runs, each as its variables, ascending."""
-    return sorted({tuple(run[3]) for _, touched in table._plans for run in touched})
+    """The neighbourhood runs of a table that names them, each as its
+    variables, ascending."""
+    return sorted({tuple(run[2]) for touched in table._plans for run in touched})
 
 
 def revisiting_walk(landscape, start, rng, rounds):
@@ -88,38 +100,39 @@ def revisiting_walk(landscape, start, rng, rounds):
     its undo and a random move kept; every fifth round instead restarts
     from a random state, one variable at a time.  Returns the number of
     steps after which the table first differs from a fresh scan (None if
-    it never does) and the memo hits: groups replaced without a rescan."""
+    it never does) and the memo hits: variables of replaced runs that
+    ``step`` did not rescan, a rescan of None counting every variable."""
     rescan = landscape._rescan
     rescanned = 0
 
     def counted(state, variables):
         nonlocal rescanned
-        if variables is not None:
-            rescanned += len(variables)
+        rescanned += landscape.num_variables if variables is None else len(variables)
         return rescan(state, variables)
 
-    landscape._rescan = counted
-    try:
-        table = _MoveTable(landscape, start)
-        domains = landscape.domains()
-        replaced = steps = 0
-        if table_differs(landscape, table):
-            return steps, 0
-        for r in range(rounds):
-            if r % 5 == 4:
-                plan = [(var, rng.choice(values)) for var, values in enumerate(domains)]
-            else:
-                moves = [move for move, _ in entries(table)]
-                move = rng.choice(moves)
-                plan = [move, (move[0], table.state[move[0]]), rng.choice(moves)]
-            for move in plan:
-                replaced += len(table.step(move))
-                steps += 1
-                if table_differs(landscape, table):
-                    return steps, replaced - rescanned
-        return None, replaced - rescanned
-    finally:
-        del landscape._rescan
+    table = _MoveTable(landscape, start)
+    domains = landscape.domains()
+    replaced = steps = 0
+    if table_differs(landscape, table):
+        return steps, 0
+    for r in range(rounds):
+        if r % 5 == 4:
+            plan = [(var, rng.choice(values)) for var, values in enumerate(domains)]
+        else:
+            choices = moves(table)
+            move = rng.choice(choices)
+            plan = [move, (move[0], table.state[move[0]]), rng.choice(choices)]
+        for move in plan:
+            replaced += len(replaced_variables(table, move[0]))
+            landscape._rescan = counted  # only the rescans that step makes
+            try:
+                table.step(move)
+            finally:
+                del landscape._rescan
+            steps += 1
+            if table_differs(landscape, table):
+                return steps, replaced - rescanned
+    return None, replaced - rescanned
 
 
 class Narrowed:
@@ -182,7 +195,26 @@ def test_table_on_winding(n, seed):
     assert table_mismatch(landscape, start, rng, 40) is None
 
 
-# -- the memo: revisited neighbourhoods reinstall their groups ----------------
+def test_a_neighbourhood_of_every_variable_makes_a_black_box():
+    # one constraint on all six variables: a move changes every delta, and
+    # a walk that never revisits a state would only fill a memo
+    rng = random.Random(5)
+    domains = (2, 3, 2, 2, 3, 2)
+    size = 2 ** 4 * 3 ** 2
+    instance = VcspInstance(domains, (
+        SoftConstraint(tuple(range(6)), 1, tuple(rng.randint(0, 9) for _ in range(size))),))
+    landscape = VcspLandscape(instance)
+    start = (0,) * 6
+    assert all(landscape.affected(var) == tuple(range(6)) for var in range(6))
+    table = _MoveTable(landscape, start)
+    assert not table.local and not hasattr(table, "_plans")  # no memo
+    assert len(table.improving) == 1 and table.run_of == [0] * 6
+    assert table_mismatch(landscape, start, random.Random(2), 40) is None
+    mismatch, hits = revisiting_walk(landscape, start, random.Random(3), 30)
+    assert mismatch is None and hits == 0
+
+
+# -- the memo: revisited neighbourhoods reinstall their improving entries -----
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32))
@@ -201,11 +233,14 @@ def test_memo_on_revisiting_walks_of_the_counting_landscapes(seed):
     symbols = SymbolCountingLandscape(n)
     start = tuple(rng.choice(SYMBOLS) for _ in range(n))
     mismatch, hits = revisiting_walk(symbols, start, rng, 40)
-    assert mismatch is None and hits > 0
+    assert mismatch is None
+    # at N = 2 every neighbourhood is every variable: a black box, no memo
+    assert not _MoveTable(symbols, start).local if n == 2 else hits > 0
     bits = boolean_lift(min(n, 5))
     start = tuple(rng.randint(0, 1) for _ in range(bits.num_variables))
     mismatch, hits = revisiting_walk(bits, start, rng, 40)
-    assert mismatch is None and hits > 0
+    assert mismatch is None
+    assert not _MoveTable(bits, start).local if n == 2 else hits > 0
 
 
 # -- neighbourhood runs: one memo key per run of equal neighbourhoods ---------
@@ -216,8 +251,8 @@ def test_the_boolean_lift_has_one_run_per_block(n):
     table = _MoveTable(landscape, encode_state(zero_state(n)))
     assert table_runs(table) == [tuple(range(4 * i, 4 * i + 4)) for i in range(n)]
     for var in range(landscape.num_variables):
-        replaced, touched = table._plans[var]
-        assert replaced == landscape.affected(var)
+        touched = table._plans[var]
+        assert replaced_variables(table, var) == landscape.affected(var)
         # a bit of an interior block touches its block and the two beside it
         assert len(touched) == (3 if 4 <= var < 4 * n - 4 else 2)
     symbols = SymbolCountingLandscape(n)
@@ -241,7 +276,7 @@ def test_a_neighbourhood_is_a_union_of_whole_runs(seed):
     for run, after in zip(runs, runs[1:]):
         assert affected(run[-1]) != affected(after[0])
     for var in range(instance.num_variables):
-        assert table._plans[var][0] == affected(var)
+        assert replaced_variables(table, var) == affected(var)
 
 
 def test_runs_apart_with_one_neighbourhood_keep_their_own_memo():
@@ -302,6 +337,26 @@ def test_table_check_fires_on_a_narrowed_neighbourhood(landscape, start):
 
 
 # -- first-improvement over the table equals the per-move loop ----------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_every_variable_has_a_move_from_every_state(seed):
+    # so first-improvement's shuffle of every variable is the shuffle of
+    # the variables that have a move, which the per-move loop draws
+    rng = random.Random(seed)
+    instance = random_instance(rng, max_domain=5)
+    n = rng.randint(2, 7)
+    preset = (StepSchedule.semismooth, StepSchedule.root2path)[seed % 2]
+    bits = boolean_lift(rng.randint(2, 4))
+    cases = [
+        (VcspLandscape(instance), random_assignment(rng, instance)),
+        (bits, tuple(rng.randint(0, 1) for _ in range(bits.num_variables))),
+        (SymbolCountingLandscape(n), tuple(rng.choice(SYMBOLS) for _ in range(n))),
+        (WindingLandscape(n, preset(n)), tuple(rng.randint(0, 1) for _ in range(2 * n))),
+    ]
+    for landscape, state in cases:
+        assert {move[0] for move in landscape.moves(state)} == set(
+            range(landscape.num_variables))
 
 def reference_first_improvement(landscape, start, seed, max_steps):
     """First-improvement ascent asking ``delta`` move by move, in the
