@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 
 from .vcsp import SoftConstraint, VcspError, VcspInstance
 
@@ -114,7 +115,13 @@ class Landscape:
         return all(tuple(values) == (0, 1) for values in self.domains())
 
     def format_state(self, state) -> str:
-        return "".join(str(v) for v in state)
+        return self._state_separator.join(map(str, state))
+
+    @cached_property
+    def _state_separator(self) -> str:
+        """One digit per value, unless a domain has more than 10 values:
+        then the values are space-separated, as ``run --start`` reads them."""
+        return " " if any(len(values) > 10 for values in self.domains()) else ""
 
 
 class VcspLandscape(Landscape):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, getitem
+from operator import add, getitem, or_
 
 from .landscapes import Landscape
 
@@ -107,6 +107,13 @@ class WindingLandscape(Landscape):
         # pass, then looks the deltas up, delta by the tuple's identity first;
         # one atomic reference keeps concurrent readers consistent
         self._memo: tuple | None = None
+        # the level pass memoised in two halves split at pair K = n // 2 (see
+        # _level_scan): high entries by the bits of pairs K+1..n, low entries
+        # by the bits of pairs 1..K, one dict per side entering level K; the
+        # entries are immutable, so a concurrent fill stores an equal entry
+        self._half = 2 * (n // 2)
+        self._highs: dict = {}
+        self._lows: tuple[dict, dict] = ({}, {})
 
     # -- evaluation ---------------------------------------------------------
 
@@ -124,7 +131,11 @@ class WindingLandscape(Landscape):
     def _rescan(self, state, variables):
         """One level pass, memoised unchecked like every ``_rescan``, then
         ``delta`` per flip, each a memo hit; the landscape names no
-        neighbourhoods, so ``variables`` is None."""
+        neighbourhoods, so ``variables`` is None.  The pass comes from
+        ``_level_scan``'s memo of two halves (high pairs keyed by their bits,
+        low pairs by their bits and the side entering them, at most
+        2 * 4^K + 4^(n-K) entries); a miss, or a low half with fewer than
+        two non-00 pairs below K, takes the full pass."""
         state = tuple(state)
         self._memo = (state, self._level_scan(state))
         delta = self.delta
@@ -164,8 +175,77 @@ class WindingLandscape(Landscape):
         return tuple((0,) + tuple(t) for t in (sm, lift, map(add, pv, sp), map(add, pv, sm)))
 
     def _level_scan(self, state):
-        """One bottom-up pass of the level recursion, then every flip's
-        delta from the per-level values it leaves in place.
+        """``(value, deltas)`` of a tuple state, from the memo of its two
+        halves, split at pair K = n // 2, or else from ``_level_pass``.
+
+        Every level map is affine in the values (g0, g1) entering it, and
+        reads each of them with coefficient 0 or 1.  So while no level above
+        K is at its peak, the bits of pairs K+1..n alone fix their entry in
+        ``_highs``: the side entering level K from above, the fitness as
+        a + (f0[K], f1[K])[r], and each high flip's delta as c_i + e_i * D,
+        with D = f0[K] - f1[K] and e_i in {-1, 0, 1}.  The bits of pairs
+        1..K and that side fix (f0[K], f1[K]) and the 2K low deltas, the
+        entry in ``_lows[side]``, when at least two of pairs 1..K-1 are not
+        00: then the peak level is at most K, and a flip under an all-00
+        prefix reads levels up to K only.  Any other low key holds the
+        marker ``()``, and its states take the full pass.  A miss takes the
+        full pass and fills the entry, so the memo holds at most
+        2 * 4^K + 4^(n-K) entries.
+        """
+        half = self._half
+        highs = self._highs
+        key = state[half:]
+        high = highs.get(key)
+        if high is None:
+            high = highs[key] = self._high_entry(key)
+        side, a, r, cs, es = high
+        lows = self._lows[side]
+        key = state[:half]
+        low = lows.get(key)
+        if not low:
+            f0, f1, deltas = self._level_pass(state)
+            if low is None:
+                k = half // 2
+                splits = sum(map(or_, key[:half - 2:2], key[1:half - 2:2])) > 1
+                lows[key] = (f0[k], f1[k], tuple(deltas[:half])) if splits else ()
+            return f0[-1], tuple(deltas)
+        x, y, deltas = low
+        d = x - y
+        return a + (y if r else x), deltas + tuple([c + e * d for c, e in zip(cs, es)])
+
+    def _high_entry(self, bits):
+        """``(side, a, r, cs, es)`` of ``_level_scan`` for the ``bits`` of
+        pairs K+1..n, right whenever no level above K is at its peak.
+
+        Both passes of ``_level_pass`` over those pairs, on values written
+        (c, r) for c + (f0[K], f1[K])[r].  Level k can give three values:
+        g0 and lift_k + g1 (a pair 00 or 11: on side s, pair aa gives the
+        second iff a != s) and s-_k + g0 (a mixed pair).
+        """
+        def value(level, a, b, s):
+            return level[2 if a != b else a ^ s]
+
+        sm, lift = self._steps[:2]
+        pairs = tuple(zip(bits[::2], bits[1::2]))
+        options = []
+        g0, g1 = (0, 0), (0, 1)
+        for k, (a, b) in enumerate(pairs, self._half // 2 + 1):
+            level = (g0, (lift[k] + g1[0], g1[1]), (sm[k] + g0[0], g0[1]))
+            options.append(level)
+            g0, g1 = value(level, a, b, 0), value(level, a, b, 1)
+        flips = []
+        side = 0
+        for level, (a, b) in zip(reversed(options), reversed(pairs)):
+            oc, o = value(level, a, b, side)
+            flips.append([(c - oc, o - r) for c, r in (
+                value(level, a ^ 1, b, side), value(level, a, b ^ 1, side))])
+            side = a ^ side if a == b else 0
+        cs, es = zip(*[flip for pair in reversed(flips) for flip in pair])
+        return side, g0[0], g0[1], cs, es
+
+    def _level_pass(self, state):
+        """``(f0, f1, deltas)``: one bottom-up pass of the level recursion,
+        then every flip's delta from the per-level values it leaves in place.
 
         The recursion only ever XORs a prefix with the peak of the level
         below, which inverts exactly the prefix's top pair.  So f0[k] (the
@@ -248,7 +328,7 @@ class WindingLandscape(Landscape):
                     deltas[i] = g1 - f1[k] if sel[k] else g0 - f0[k]
             if pa or pb:
                 m = j
-        return f0[n], tuple(deltas)
+        return f0, f1, deltas
 
     # -- moves / enumeration ------------------------------------------------
 

@@ -38,24 +38,27 @@ from ascentlab.winding import StepSchedule, WindingLandscape
 from test_search import GOLDEN_N7
 
 
-def test_winding_path_length_semismooth():
-    # steepest ascent from the all-zero state takes exactly 2^(n+1) - 2
-    # steps for n = 1..14 with the default schedule
+def check_winding_path(factory):
+    """Steepest ascent from the all-zero state takes exactly 2^(n+1) - 2
+    steps for n = 1..14, reaches the level-k sub-cube peak at step
+    2^(k+1) - 2 for every k, and ends at the level-n peak value."""
     for n in range(1, 15):
-        landscape = WindingLandscape(n, StepSchedule.semismooth(n))
+        landscape = WindingLandscape(n, factory(n))
         trace = steepest_ascent(landscape, landscape.origin(),
                                 max_steps=2 ** (n + 1))
         assert trace.num_steps == 2 ** (n + 1) - 2, n
         assert trace.terminal == LOCAL_OPTIMUM
+        for k in range(1, n + 1):
+            assert trace.steps[2 ** (k + 1) - 2].state == landscape.peak_state(k), (n, k)
+        assert trace.final_fitness == landscape.peak_value[n], n
+
+
+def test_winding_path_length_semismooth():
+    check_winding_path(StepSchedule.semismooth)
 
 
 def test_winding_path_length_root2path():
-    for n in range(1, 15):
-        landscape = WindingLandscape(n, StepSchedule.root2path(n))
-        trace = steepest_ascent(landscape, landscape.origin(),
-                                max_steps=2 ** (n + 1))
-        assert trace.num_steps == 2 ** (n + 1) - 2, n
-        assert trace.terminal == LOCAL_OPTIMUM
+    check_winding_path(StepSchedule.root2path)
 
 
 def test_golden_counting_trace():

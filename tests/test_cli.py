@@ -441,6 +441,31 @@ def test_run_reads_one_value_per_token_when_a_domain_is_above_10(tmp_path, capsy
     assert captured.out == "" and captured.err == "error: start state needs 3 values\n"
 
 
+def test_a_state_printed_with_a_domain_above_10_reads_back_through_start(tmp_path, capsys):
+    inst = tmp_path / "wide.json"
+    inst.write_text(json.dumps({
+        "format": "vcsp-instance/v1", "domains": [12, 12, 12],
+        "constraints": [{"scope": [0], "weight": 1, "values": list(range(12))}]}))
+    trace_out = tmp_path / "trace.tsv"
+    assert main(["run", str(inst), "--start", "10 11 3", "--max-steps", "5",
+                 "--trace-out", str(trace_out)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == "steps=1 final_fitness=11 terminal=local-optimum final_state=11 11 3\n"
+    rows = trace_out.read_text().splitlines()
+    assert [row.split("\t")[-1] for row in rows[1:3]] == ["10 11 3", "11 11 3"]
+    printed = out.split("final_state=")[1].strip()
+    assert main(["run", str(inst), "--start", printed, "--max-steps", "5"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "steps=0 final_fitness=11 terminal=local-optimum final_state=11 11 3\n")
+    # a tie names the state in the same form
+    inst.write_text(json.dumps({
+        "format": "vcsp-instance/v1", "domains": [12, 12],
+        "constraints": [{"scope": [0], "weight": 1, "values": [0] * 10 + [5, 5]}]}))
+    assert main(["run", str(inst), "--start", "0 11", "--max-steps", "5"]) == EXIT_TIE
+    assert capsys.readouterr().err == (
+        "tie: steepest-move tie at 0 11: moves [(0, 10), (0, 11)] all improve by 5\n")
+
+
 def test_run_reads_one_value_per_digit_when_every_domain_is_at_most_10(tmp_path, capsys):
     inst = tmp_path / "ten.json"
     inst.write_text(json.dumps({

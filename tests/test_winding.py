@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from ascentlab.search import steepest_ascent
 from ascentlab.winding import (
     StepSchedule,
     WindingError,
@@ -181,6 +182,82 @@ def test_delta_reads_the_memo_of_an_equal_state_and_still_checks_its_input():
         with pytest.raises(WindingError):
             landscape.delta(wrong, (0, 1))
     assert landscape.delta(state, (0, 1)) == expected[0]
+
+
+def alternating_schedule(n):
+    """s+_k = 3k + 5 and s-_k = (-1)^k (k + 2): barrier steps of both signs."""
+    return StepSchedule(tuple(3 * k + 5 for k in range(1, n + 1)),
+                        tuple((-1) ** k * (k + 2) for k in range(1, n + 1)))
+
+
+SCHEDULES = (StepSchedule.semismooth, StepSchedule.root2path, alternating_schedule)
+
+
+def full_pass(landscape, state):
+    f0, _, deltas = landscape._level_pass(state)
+    return f0[-1], tuple(deltas)
+
+
+def memo_mismatches(landscape, states):
+    """The states whose memoised level pass differs from the full pass."""
+    return [s for s in states if landscape._level_scan(s) != full_pass(landscape, s)]
+
+
+def test_memoised_level_pass_equals_the_full_pass_and_the_reference_on_every_state():
+    for n in range(1, 9):
+        states = list(itertools.product((0, 1), repeat=2 * n))
+        flips = [1 << (2 * n - 1 - i) for i in range(2 * n)]  # state index bit of each variable
+        for factory in SCHEDULES:
+            schedule = factory(n)
+            landscape = WindingLandscape(n, schedule)
+            ref = straight_line_reference(n, schedule.s_plus, schedule.s_minus)
+            values = [ref(x) for x in states]
+            expected = [(v, tuple(values[i ^ bit] - v for bit in flips))
+                        for i, v in enumerate(values)]
+            assert [full_pass(landscape, x) for x in states] == expected
+            for visit in ("cold", "warm"):
+                assert [landscape._level_scan(x) for x in states] == expected, (n, visit)
+            # from n = 6 on some low halves have at least two non-00 pairs below K
+            served = sum(1 for lows in landscape._lows for entry in lows.values() if entry)
+            assert (served > 0) == (n >= 6), n
+
+
+def test_memoised_level_pass_equals_the_full_pass_along_both_long_paths():
+    for factory in (StepSchedule.semismooth, StepSchedule.root2path):
+        landscape = WindingLandscape(14, factory(14))
+        states = steepest_ascent(landscape, landscape.origin(), max_steps=2 ** 15).states()
+        assert len(states) == 2 ** 15 - 1
+        assert memo_mismatches(landscape, states) == []
+
+
+def test_a_corrupted_memo_entry_is_caught_by_the_equality_check():
+    landscape = WindingLandscape(6, alternating_schedule(6))
+    states = list(itertools.product((0, 1), repeat=12))
+    assert memo_mismatches(landscape, states) == []
+    lows = landscape._lows[0]
+    key = next(key for key, entry in lows.items() if entry)
+    x, y, deltas = entry = lows[key]
+    lows[key] = (x, y, (deltas[0] + 1,) + deltas[1:])
+    assert memo_mismatches(landscape, states)
+    lows[key] = entry
+    assert memo_mismatches(landscape, states) == []
+    highs = landscape._highs
+    key = next(iter(highs))
+    side, a, r, cs, es = entry = highs[key]
+    highs[key] = (side, a, r, (cs[0] + 1,) + cs[1:], es)
+    assert memo_mismatches(landscape, states)
+    highs[key] = entry
+
+
+def test_the_memo_holds_at_most_one_entry_per_half_key():
+    for n in (6, 7):
+        k = n // 2
+        landscape = WindingLandscape(n)
+        for state in itertools.product((0, 1), repeat=2 * n):
+            landscape.move_deltas(state)
+        highs, lows = len(landscape._highs), sum(map(len, landscape._lows))
+        assert highs <= 4 ** (n - k) and lows <= 2 * 4 ** k
+        assert highs + lows <= 2 * 4 ** k + 4 ** (n - k)
 
 
 def test_serialization_round_trip():
