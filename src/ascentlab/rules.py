@@ -4,11 +4,11 @@ prioritized transition rules, and exhaustive verification oracles.
 Admissibility
 -------------
 A symbol state is *admissible* when it is reachable from the all-zero state
-by strictly improving single-flip moves.  That set is regular: the
-recognizer below is a 13-state left-to-right scan (most significant symbol
-first) that was extracted from the exhaustively computed improving-flip
-closure and re-verified to match it exactly for N = 2..8 (10, 40, 166, 714,
-3132, 13828 and 61174 states).  Beyond single-carry-block states, the
+by strictly improving single-flip moves.  The recognizer below is a
+13-state left-to-right scan (most significant symbol first) that was
+extracted from the exhaustively computed improving-flip closure; the tests
+check that it matches it exactly for N = 2..6 (10, 40, 166, 714 and 3132
+states).  Beyond single-carry-block states, the
 closure also contains stacked carry machinery: improving but non-steepest
 flips can start a fresh increment in the zeros below an unresolved carry,
 so admissible states may hold several blocks in flight at once (e.g.

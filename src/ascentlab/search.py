@@ -210,8 +210,8 @@ def _walk(table, choose):
 
 def _ascend(landscape: Landscape, start, choose, max_steps: int) -> AscentTrace:
     """Record the walk of ``choose`` from ``start``, at most ``max_steps`` steps."""
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
+    if type(max_steps) is not int or max_steps < 0:
+        raise ValueError(f"max_steps must be a non-negative int, not {max_steps!r}")
     state = tuple(start)
     fitness = landscape.evaluate(state)
     steps = [TraceStep(state, fitness, None, 0)]
@@ -235,46 +235,41 @@ def steepest_ascent(landscape: Landscape, start, policy: str = FAIL_ON_TIE,
                    max_steps)
 
 
-@functools.cache
-def _draws(length: int) -> tuple:
-    """The (i, k) of each draw in a shuffle of ``length`` items: i from
-    ``length - 1`` down to 1, and k = (i + 1).bit_length() bits a draw."""
-    return tuple((i, (i + 1).bit_length()) for i in range(length - 1, 0, -1))
-
-
-def _shuffle(order: list, getrandbits) -> None:
-    """Shuffle ``order`` in place as ``random.Random.shuffle`` does, from
-    the same generator's ``getrandbits``: for each (i, k) of ``_draws``,
-    read j with k bits until j <= i, then swap items i and j.  It leaves the
-    same list and generator state, without a Python-level ``_randbelow``
-    call per draw."""
-    for i, k in _draws(len(order)):
-        j = getrandbits(k)
-        while j > i:
-            j = getrandbits(k)
-        order[i], order[j] = order[j], order[i]
+def _below(k: int, getrandbits) -> int:
+    """A uniform draw from range(k), k >= 1, from ``getrandbits`` alone:
+    read k.bit_length() bits until the number is below k.  Written here
+    rather than taken from ``random.Random.randrange``, whose stream
+    CPython does not promise across versions."""
+    bits = k.bit_length()
+    j = getrandbits(bits)
+    while j >= k:
+        j = getrandbits(bits)
+    return j
 
 
 def first_improvement_ascent(landscape: Landscape, start, seed: int,
                              *, max_steps: int) -> AscentTrace:
-    """Arbitrary-improving-flip baseline: per step, scan the variables in
-    the order ``random.Random(seed).shuffle`` gives them (one generator for
-    the whole ascent), and take the first strictly improving move.  Every
-    variable of every library landscape has a move from every state, so
-    the shuffle is of all of them, as a shuffle of the variables with a
-    move would be."""
+    """Arbitrary-improving-flip baseline: per step, take the variables with
+    a strictly improving move, in canonical order, and draw one of them
+    uniformly with ``_below`` from one ``random.Random(seed)`` for the
+    whole ascent (no draw when there is only one); the step takes that
+    variable's first improving move.  The first of k improving variables in
+    a uniformly shuffled order is uniform over them, so this is the ascent
+    that scans the variables in a fresh random order each step, with fewer
+    draws.  ``seed`` must be a non-negative int."""
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, not {seed!r}")
     getrandbits = random.Random(seed).getrandbits
-    variables = range(landscape.num_variables)
 
     def first_improving(table):
-        order = list(variables)
-        _shuffle(order, getrandbits)
-        improving, run_of = table.improving, table.run_of
-        for var in order:
-            for entry in improving[run_of[var]]:
-                if entry[0][0] == var:
-                    return entry
-        return None, 0
+        firsts, last = [], None
+        for entry in table.improving_entries():
+            if entry[0][0] != last:  # a variable's first improving move
+                last = entry[0][0]
+                firsts.append(entry)
+        if len(firsts) > 1:
+            return firsts[_below(len(firsts), getrandbits)]
+        return firsts[0] if firsts else (None, 0)
 
     return _ascend(landscape, start, first_improving, max_steps)
 

@@ -211,6 +211,31 @@ def test_run_refuses_a_bad_winding_start_with_exit_2(tmp_path, capsys, start, me
         assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
+def test_run_refuses_a_negative_seed_with_exit_2(tmp_path, capsys):
+    # random.Random would seed -3 as 3 and print seed 3's trace
+    inst = tmp_path / "cs.json"
+    main(["gen", "counting-symbol", "--n", "4", "-o", str(inst)])
+    capsys.readouterr()
+    code = main(["run", str(inst), "--engine", "first-improvement", "--seed", "-3",
+                 "--max-steps", "100"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert captured.err == "error: seed must be a non-negative int, not -3\n"
+    assert captured.out == ""
+
+
+def test_run_refuses_a_negative_budget_with_exit_2(tmp_path, capsys):
+    inst = tmp_path / "cs.json"
+    main(["gen", "counting-symbol", "--n", "4", "-o", str(inst)])
+    capsys.readouterr()
+    for engine in (["--engine", "steepest"], ["--engine", "first-improvement", "--seed", "1"]):
+        code = main(["run", str(inst), "--max-steps", "-1", *engine])
+        captured = capsys.readouterr()
+        assert code == EXIT_INVALID
+        assert captured.err == "error: max_steps must be a non-negative int, not -1\n"
+        assert captured.out == ""
+
+
 def test_verify_exit_codes_and_json(capsys):
     assert main(["verify", "arithmetic", "--format", "json"]) == EXIT_OK
     obj = json.loads(capsys.readouterr().out)

@@ -4,13 +4,15 @@ on the run, on every landscape family, also on walks that revisit states
 and so reinstall memoised runs; its neighbourhood runs tile the variables
 and make up every neighbourhood, a neighbourhood of every variable is the
 black box, a neighbourhood narrowed below the true one is caught, and
-first-improvement over the table takes the same path as the per-move loop
-it replaced."""
+first-improvement over the table takes the same path as a per-move loop
+that draws by the same rule, whose law is a uniformly shuffled scan's."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from ascentlab.search import (
     LOCAL_OPTIMUM,
     STEP_BUDGET,
     _MoveTable,
+    _below,
     first_improvement_ascent,
 )
 from ascentlab.symbols import SYMBOLS, encode_state
@@ -338,11 +341,56 @@ def test_table_check_fires_on_a_narrowed_neighbourhood(landscape, start):
 
 # -- first-improvement over the table equals the per-move loop ----------------
 
+def law_violations(n, orders):
+    """The (S, v), S a nonempty subset of range(n) as a bit mask, at which
+    the share of ``orders`` (orders of range(n)) in which v comes before
+    the rest of S is not 1/|S| for v in S and 0 for v outside it."""
+    counts = [[0] * n for _ in range(2 ** n)]
+    total = 0
+    for order in orders:
+        total += 1
+        seen = 0
+        for v in order:
+            # the S in which v comes first: v's bit and none of the bits seen
+            free = (2 ** n - 1) & ~seen & ~(1 << v)
+            sub = free
+            while True:
+                counts[sub | 1 << v][v] += 1
+                if not sub:
+                    break
+                sub = (sub - 1) & free
+            seen |= 1 << v
+    found = []
+    for mask in range(1, 2 ** n):
+        size = bin(mask).count("1")
+        for v in range(n):
+            law = Fraction(1, size) if mask >> v & 1 else 0
+            if Fraction(counts[mask][v], total) != law:
+                found.append((mask, v))
+    return found
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_first_of_a_set_in_a_uniform_order_is_uniform_over_it(n):
+    # over all n! orders: the law that makes one uniform draw among the k
+    # improving variables the same process as taking the first improving
+    # variable of a uniformly shuffled order of every variable
+    assert law_violations(n, itertools.permutations(range(n))) == []
+
+
+def test_the_law_check_fires_on_a_biased_order():
+    orders = list(itertools.permutations(range(4)))
+    assert law_violations(4, orders[6:]) != []  # 0 never first
+    assert law_violations(4, orders + orders[:1]) != []  # one order twice
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32))
 def test_every_variable_has_a_move_from_every_state(seed):
-    # so first-improvement's shuffle of every variable is the shuffle of
-    # the variables that have a move, which the per-move loop draws
+    # so "every variable" and "the variables with a move" are one set: a
+    # shuffle of it, as first-improvement once drew, puts first an improving
+    # variable that is uniform over the improving ones (the law above), as
+    # the one draw among them that first-improvement now makes is
     rng = random.Random(seed)
     instance = random_instance(rng, max_domain=5)
     n = rng.randint(2, 7)
@@ -358,32 +406,38 @@ def test_every_variable_has_a_move_from_every_state(seed):
         assert {move[0] for move in landscape.moves(state)} == set(
             range(landscape.num_variables))
 
+
+def reference_below(k, getrandbits):
+    """A uniform index of range(k): k.bit_length() bits, read again while
+    they are k or more."""
+    while True:
+        j = getrandbits(k.bit_length())
+        if j < k:
+            return j
+
+
 def reference_first_improvement(landscape, start, seed, max_steps):
-    """First-improvement ascent asking ``delta`` move by move, in the
-    seeded variable order: ((state, fitness, move, delta) per step,
+    """First-improvement ascent asking ``delta`` move by move: per step, the
+    variables with an improving move in ascending order, each with its
+    first improving move, and one of them drawn by ``reference_below``
+    when there are two or more: ((state, fitness, move, delta) per step,
     terminal)."""
     rng = random.Random(seed)
     state = tuple(start)
     fitness = landscape.evaluate(state)
     steps = [(state, fitness, None, 0)]
     for _ in range(max_steps):
-        by_var: dict[int, list[tuple]] = {}
+        first: dict[int, tuple] = {}
         for move in landscape.moves(state):
-            by_var.setdefault(move[0], []).append(move)
-        order = sorted(by_var)
-        rng.shuffle(order)
-        taken = None
-        for var in order:
-            for move in by_var[var]:
+            if move[0] not in first:
                 d = landscape.delta(state, move)
                 if d > 0:
-                    taken = (move, d)
-                    break
-            if taken:
-                break
-        if taken is None:
+                    first[move[0]] = (move, d)
+        improving = [first[var] for var in sorted(first)]
+        if not improving:
             return steps, LOCAL_OPTIMUM
-        move, delta = taken
+        j = reference_below(len(improving), rng.getrandbits) if len(improving) > 1 else 0
+        move, delta = improving[j]
         state = landscape.apply(state, move)
         fitness += delta
         steps.append((state, fitness, move, delta))
@@ -408,23 +462,30 @@ def test_first_improvement_equals_the_per_move_loop(seed, max_steps):
     check_same_first_improvement(winding, winding.origin(), seed, max_steps)
 
 
+def off_by_one(k, getrandbits):
+    return (_below(k, getrandbits) + 1) % k
+
+
+def one_bit_more(k, getrandbits):
+    # still uniform over range(k), but from another stream
+    while True:
+        j = getrandbits(k.bit_length() + 1)
+        if j < k:
+            return j
+
+
 @pytest.mark.parametrize("seed", [0, 1, 42])
 def test_first_improvement_check_fires_on_a_drifted_order(seed, monkeypatch):
-    # an order drawn one position short changes the stream: the per-move
-    # reference, which still calls rng.shuffle, must catch it
-    shuffle = search._shuffle
-
-    def short_shuffle(order, getrandbits):
-        head = order[:-1]
-        shuffle(head, getrandbits)
-        order[:-1] = head
-
-    monkeypatch.setattr(search, "_shuffle", short_shuffle)
-    with pytest.raises(AssertionError):
-        check_same_first_improvement(SymbolCountingLandscape(6), zero_state(6), seed, 10_000)
-    with pytest.raises(AssertionError):
-        check_same_first_improvement(boolean_lift(4), encode_state(zero_state(4)),
-                                     seed, 10_000)
+    # the per-move reference, which draws by its own loop, must catch a
+    # draw that picks the next index, or one that reads another stream
+    for drift in (off_by_one, one_bit_more):
+        monkeypatch.setattr(search, "_below", drift)
+        with pytest.raises(AssertionError):
+            check_same_first_improvement(SymbolCountingLandscape(6), zero_state(6),
+                                         seed, 10_000)
+        with pytest.raises(AssertionError):
+            check_same_first_improvement(boolean_lift(4), encode_state(zero_state(4)),
+                                         seed, 10_000)
 
 
 @settings(max_examples=40, deadline=None)

@@ -76,23 +76,65 @@ def test_classify_rejects_unreachable_states():
         assert not classify(S(text)).admissible, text
 
 
+def improving_flip_closure(landscape, start, per_move=False):
+    """The states reachable from ``start`` by strictly improving moves: a
+    breadth-first search over ``move_deltas``, or over ``delta`` asked move
+    by move when ``per_move``."""
+    reachable = {start}
+    queue = deque(reachable)
+    while queue:
+        state = queue.popleft()
+        entries = ([(move, landscape.delta(state, move)) for move in landscape.moves(state)]
+                   if per_move else landscape.move_deltas(state))
+        for move, d in entries:
+            if d > 0:
+                nxt = landscape.apply(state, move)
+                if nxt not in reachable:
+                    reachable.add(nxt)
+                    queue.append(nxt)
+    return reachable
+
+
+def dfa_words(n):
+    """The words of length n that ``rules._DFA`` accepts, by walking its
+    transitions from the start context."""
+    layer = {(): rules._START}
+    for _ in range(n):
+        layer = {word + (sym,): nxt for word, ctx in layer.items()
+                 for sym, nxt in rules._DFA[ctx].items()}
+    return {word for word, ctx in layer.items() if ctx in rules._ACCEPTING}
+
+
 def test_classify_matches_improving_flip_closure_exhaustively():
     # the recognizer accepts exactly the states reachable from 0^N by
-    # strictly improving moves
-    for n in (2, 3, 4):
-        landscape = SymbolCountingLandscape(n)
-        reachable = {zero_state(n)}
-        queue = deque(reachable)
-        while queue:
-            state = queue.popleft()
-            for move in landscape.moves(state):
-                if landscape.delta(state, move) > 0:
-                    nxt = landscape.apply(state, move)
-                    if nxt not in reachable:
-                        reachable.add(nxt)
-                        queue.append(nxt)
-        for state in itertools.product(SYMBOLS, repeat=n):
-            assert classify(state).admissible == (state in reachable), state
+    # strictly improving moves: over all 10^N states for N <= 4 (the
+    # closure by per-move deltas), and for N = 5, 6 (by the scan, for time)
+    # as the words its scan accepts, which are the states that classify
+    # accepts, since classify runs the same scan
+    sizes = {2: 10, 3: 40, 4: 166, 5: 714, 6: 3132}
+    for n, size in sizes.items():
+        reachable = improving_flip_closure(SymbolCountingLandscape(n), zero_state(n),
+                                           per_move=n <= 4)
+        assert reachable == dfa_words(n) and len(reachable) == size, n
+        if n <= 4:
+            for state in itertools.product(SYMBOLS, repeat=n):
+                assert classify(state).admissible == (state in reachable), state
+        else:
+            assert all(classify(state).admissible for state in reachable)
+
+
+def test_closure_check_fires_on_a_dropped_or_an_added_transition(monkeypatch):
+    # a scan that loses one transition, or gains one, accepts other words
+    # than the closure at N = 5
+    reachable = improving_flip_closure(SymbolCountingLandscape(5), zero_state(5))
+    dropped = {ctx: dict(edges) for ctx, edges in rules._DFA.items()}
+    added = {ctx: dict(edges) for ctx, edges in rules._DFA.items()}
+    del dropped[rules._CARRY]["iC0"]
+    added[rules._IX1]["1"] = rules._BIT1
+    monkeypatch.setattr(rules, "_DFA", dropped)
+    assert dfa_words(5) < reachable
+    monkeypatch.setattr(rules, "_DFA", added)
+    assert dfa_words(5) > reachable
 
 
 def test_classify_single_variable_degenerate_case():

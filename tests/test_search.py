@@ -18,7 +18,7 @@ from ascentlab.search import (
     STEP_BUDGET,
     TieError,
     TraceStep,
-    _shuffle,
+    _below,
     first_improvement_ascent,
     is_local_maximum,
     steepest_ascent,
@@ -142,18 +142,34 @@ def test_first_improvement_deterministic_per_seed():
     assert a.states() == b.states()
 
 
-def test_shuffle_makes_the_draws_of_random_shuffle():
-    # first-improvement's order must stay random.Random(seed).shuffle's, so
-    # that every seeded trace stays the same: the same list, and the
-    # generator left in the same state
-    for seed in range(100):
-        for length in [*range(71), 1000]:
-            expected, rng = list(range(length)), random.Random(seed)
-            rng.shuffle(expected)
-            got, twin = list(range(length)), random.Random(seed)
-            _shuffle(got, twin.getrandbits)
-            assert got == expected, (seed, length)
-            assert twin.getstate() == rng.getstate(), (seed, length)
+def test_below_accepts_each_value_of_its_range_once():
+    # for each k, the patterns of k.bit_length() bits below k are accepted
+    # after one read, each giving itself, and every other pattern is read
+    # again: so a draw from uniform bits is uniform over range(k)
+    for k in range(2, 18):
+        bits = k.bit_length()
+        accepted = []
+        for pattern in range(2 ** bits):
+            reads = [pattern, k - 1]
+
+            def getrandbits(asked):
+                assert asked == bits
+                return reads.pop(0)
+
+            j = _below(k, getrandbits)
+            if len(reads) == 1:
+                accepted.append(j)
+            else:
+                assert pattern >= k and j == k - 1 and reads == [], (k, pattern)
+        assert accepted == list(range(k)), k
+
+
+def test_below_draws_of_one_seed_are_pinned():
+    # first-improvement's seeded traces rest on this stream
+    rng = random.Random(2020)
+    assert [_below(k, rng.getrandbits) for k in range(2, 18)] == [
+        0, 2, 3, 3, 3, 2, 6, 8, 2, 9, 1, 7, 12, 3, 6, 13]
+    assert rng.getrandbits(32) == 2878628057
 
 
 def test_counting_full_ascent_terminals_recorded():
@@ -225,6 +241,25 @@ def test_trace_step_is_a_named_tuple_record():
     assert step != TraceStep(("0", "i01"), 1, (1, "i01"), 2)
     start = steepest_ascent(SymbolCountingLandscape(2), ("0", "0"), max_steps=0).steps[0]
     assert start == TraceStep(("0", "0"), 0, None, 0)
+
+
+@pytest.mark.parametrize("seed", [None, -3, True, 1.5, "abc"])
+def test_first_improvement_refuses_a_seed_that_is_not_a_non_negative_int(seed):
+    # None would run unseeded, -3 would run as seed 3 (random.Random seeds
+    # by the absolute value), and True, 1.5 and "abc" would each seed a run
+    landscape = SymbolCountingLandscape(3)
+    with pytest.raises(ValueError, match="seed must be a non-negative int"):
+        first_improvement_ascent(landscape, zero_state(3), seed, max_steps=10)
+
+
+@pytest.mark.parametrize("max_steps", [True, 2.5, -1, "10", None])
+def test_ascents_refuse_a_budget_that_is_not_a_non_negative_int(max_steps):
+    # True would run one step; 2.5 would fail inside itertools.islice
+    landscape = SymbolCountingLandscape(3)
+    with pytest.raises(ValueError, match="max_steps must be a non-negative int"):
+        steepest_ascent(landscape, zero_state(3), max_steps=max_steps)
+    with pytest.raises(ValueError, match="max_steps must be a non-negative int"):
+        first_improvement_ascent(landscape, zero_state(3), 1, max_steps=max_steps)
 
 
 def test_max_steps_is_mandatory():
