@@ -69,7 +69,6 @@ from .symbols import (
     decode_block,
     encode_state,
     format_symbol_state,
-    parse_symbol_state,
 )
 from .vcsp import (
     ConstraintGraph,

@@ -1,9 +1,11 @@
 """Command-line front end: generate instances, run ascents, verify claims,
 export analysis tables.
 
-Exit codes: 0 success, 2 invalid input, 3 steepest-move tie, 4 step budget
-exhausted, 5 verification failure.  All outputs are deterministic for fixed
-arguments (and seed), byte for byte.
+Each command declares only the options it reads, given after its
+subcommand (``verify cpp --n 4``); any other is refused.  Exit codes: 0
+success, 2 invalid input (every refusal is one ``error:`` line), 3
+steepest-move tie, 4 step budget exhausted, 5 verification failure.  All
+outputs are deterministic for fixed arguments (and seed), byte for byte.
 """
 
 from __future__ import annotations
@@ -30,13 +32,11 @@ from .search import (
     steepest_ascent,
     trace_table,
 )
-from .symbols import parse_symbol_state
-from .vcsp import INSTANCE_FORMAT, VcspError, instance_from_obj, instance_to_obj
+from .vcsp import INSTANCE_FORMAT, instance_from_obj, instance_to_obj
 from .winding import (
     SCHEDULE_PRESETS,
     WINDING_FORMAT,
     StepSchedule,
-    WindingError,
     WindingLandscape,
     winding_from_obj,
     winding_to_obj,
@@ -49,20 +49,25 @@ EXIT_BUDGET = 4
 EXIT_VERIFY_FAILED = 5
 
 
-class CliError(Exception):
-    pass
+class CliError(ValueError):
+    """Invalid input, refused here; the library refuses with a ValueError too."""
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.replace(",", " ").split())
+class CliParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise CliError(message)
 
 
 def _schedule_from_args(args, n: int) -> StepSchedule:
-    if args.s_plus or args.s_minus:
-        if not (args.s_plus and args.s_minus):
-            raise CliError("--s-plus and --s-minus must be given together")
-        return StepSchedule(_parse_int_list(args.s_plus), _parse_int_list(args.s_minus))
-    return SCHEDULE_PRESETS[args.schedule](n)
+    if args.s_plus is None and args.s_minus is None:
+        return SCHEDULE_PRESETS[args.schedule or "semismooth"](n)
+    if args.s_plus is None or args.s_minus is None:
+        raise CliError("--s-plus and --s-minus must be given together")
+    if args.schedule is not None:
+        raise CliError("--schedule and --s-plus/--s-minus exclude each other")
+    steps = (tuple(int(x) for x in text.replace(",", " ").split())
+             for text in (args.s_plus, args.s_minus))
+    return StepSchedule(*steps)
 
 
 def _check_output(path: str | None) -> None:
@@ -89,6 +94,13 @@ def _write_text(path: str | None, text: str) -> None:
 
 # -- gen --------------------------------------------------------------------
 
+_INSTANCES = {
+    "pairs": lambda a: make_pairs_instance(a.n, a.alpha),
+    "counting-symbol": lambda a: make_counting_symbol_instance(a.n),
+    "counting-boolean": lambda a: make_counting_boolean_instance(a.n),
+}
+
+
 def cmd_gen(args) -> int:
     _check_output(args.output)
     if args.kind == "winding":
@@ -97,14 +109,7 @@ def cmd_gen(args) -> int:
         summary = (f"winding landscape: n={args.n} variables={2 * args.n} "
                    f"s_plus={list(schedule.s_plus)} s_minus={list(schedule.s_minus)}")
     else:
-        if args.kind == "pairs":
-            if args.alpha is None:
-                raise CliError("pairs needs --alpha")
-            instance = make_pairs_instance(args.n, args.alpha)
-        elif args.kind == "counting-symbol":
-            instance = make_counting_symbol_instance(args.n)
-        else:  # counting-boolean; argparse restricts the choices
-            instance = make_counting_boolean_instance(args.n)
+        instance = _INSTANCES[args.kind](args)
         obj = instance_to_obj(instance)
         arities = sorted({c.arity for c in instance.constraints})
         weights = sorted({c.weight for c in instance.constraints})
@@ -138,35 +143,20 @@ def _load_landscape(path: str):
     raise CliError(f"unrecognized document format {fmt!r}")
 
 
-def _parse_start(landscape, text: str | None):
-    if text is None:
-        return landscape.zero_state()
-    if isinstance(landscape, SymbolCountingLandscape):
-        state = parse_symbol_state(text)
-        if len(state) != landscape.n:
-            raise CliError(f"start state needs {landscape.n} symbols")
-        return state
-    width = landscape.num_variables
-    tokens = text.replace(",", " ").split()
-    if all(len(values) <= 10 for values in landscape.domains()):
-        tokens = "".join(tokens)  # every value is one digit: one per character
-    values = tuple(int(token) for token in tokens)
-    if len(values) != width:
-        raise CliError(f"start state needs {width} values")
-    return values
-
-
 def cmd_run(args) -> int:
+    if args.engine == "steepest" and args.seed is not None:
+        raise CliError("steepest takes no --seed")
+    if args.engine == "first-improvement" and (args.seed is None or args.policy is not None):
+        raise CliError("first-improvement needs --seed and takes no --policy")
     _check_output(args.trace_out)
     landscape = _load_landscape(args.instance)
-    start = _parse_start(landscape, args.start)
+    start = (landscape.zero_state() if args.start is None
+             else landscape.parse_state(args.start))
     try:
         if args.engine == "steepest":
-            trace = steepest_ascent(landscape, start, args.policy,
+            trace = steepest_ascent(landscape, start, args.policy or FAIL_ON_TIE,
                                     max_steps=args.max_steps)
         else:
-            if args.seed is None:
-                raise CliError("first-improvement needs --seed")
             trace = first_improvement_ascent(landscape, start, args.seed,
                                              max_steps=args.max_steps)
     except TieError as exc:
@@ -182,185 +172,187 @@ def cmd_run(args) -> int:
 
 # -- verify -----------------------------------------------------------------
 
-def _emit_report(report: Report, fmt: str) -> int:
-    if fmt == "json":
+def _verify_all(args) -> Report:
+    report = Report("all verification suites")
+    for part in (rules.verify_rule_arithmetic(), *map(rules.verify_cpp_closure, (3, 4)),
+                 *map(rules.verify_steepest_equals_rules, range(2, args.n + 1)),
+                 analysis.verify_gradient_formulas(), analysis.verify_pathwidth()):
+        report.extend(part)
+    return report
+
+
+# suite: (its report from the parsed arguments, default --n or None for none,
+# least --n: below it a suite would check less than asked and still pass)
+_SUITES = {
+    "arithmetic": (lambda a: rules.verify_rule_arithmetic(), None, None),
+    "cpp": (lambda a: rules.verify_cpp_closure(a.n), 4, None),
+    "lockstep": (lambda a: rules.verify_steepest_equals_rules(a.n, budget=a.budget), 8, None),
+    "gradient": (lambda a: analysis.verify_gradient_formulas(a.n), 6, 2),
+    "pathwidth": (lambda a: analysis.verify_pathwidth(3, a.n), 10, 3),
+    "all": (_verify_all, 8, 2),
+}
+
+
+def cmd_verify(args) -> int:
+    check, _, least = _SUITES[args.suite]
+    if least is not None and args.n < least:
+        raise CliError(f"verify {args.suite} needs --n >= {least}")
+    report = check(args)
+    if args.format == "json":
         print(json.dumps(report.to_obj(), indent=1, sort_keys=True))
     else:
         print("\n".join(report.lines()))
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
-def cmd_verify(args) -> int:
-    suite = args.suite
-    size = {"cpp": 4, "lockstep": 8, "gradient": 6, "pathwidth": 10,
-            "all": 8}.get(suite) if args.n is None else args.n
-    # below these sizes a suite would check less than asked and still pass
-    least = {"gradient": 2, "all": 2, "pathwidth": 3}.get(suite)
-    if least is not None and size < least:
-        raise CliError(f"verify {suite} needs --n >= {least}")
-    if suite == "arithmetic":
-        report = rules.verify_rule_arithmetic()
-    elif suite == "cpp":
-        report = rules.verify_cpp_closure(size)
-    elif suite == "lockstep":
-        report = rules.verify_steepest_equals_rules(size, budget=args.budget)
-    elif suite == "gradient":
-        report = analysis.verify_gradient_formulas(size)
-    elif suite == "pathwidth":
-        report = analysis.verify_pathwidth(3, size)
-    elif suite == "all":
-        report = Report("all verification suites")
-        report.extend(rules.verify_rule_arithmetic())
-        for n in (3, 4):
-            report.extend(rules.verify_cpp_closure(n))
-        for n in range(2, size + 1):
-            report.extend(rules.verify_steepest_equals_rules(n))
-        report.extend(analysis.verify_gradient_formulas())
-        report.extend(analysis.verify_pathwidth())
-    else:  # pragma: no cover
-        raise CliError(f"unknown suite {suite}")
-    return _emit_report(report, args.format)
-
-
 # -- analyze ----------------------------------------------------------------
+
+def _scaling(args) -> list[str]:
+    if args.max_n < 1:
+        raise CliError("scaling needs --max-n >= 1")
+    rows = ["n\tvariables\tsteps\tclosed_form"]
+    for n in range(1, args.max_n + 1):
+        landscape = WindingLandscape(n, SCHEDULE_PRESETS[args.schedule or "semismooth"](n))
+        trace = steepest_ascent(landscape, landscape.origin(), max_steps=2 ** (n + 1))
+        rows.append(f"{n}\t{2 * n}\t{trace.num_steps}\t{2 ** (n + 1) - 2}")
+    return rows
+
+
+def _gradient(args) -> list[str]:
+    landscape = WindingLandscape(args.n, _schedule_from_args(args, args.n))
+    if args.at == "origin":
+        state = landscape.origin()
+    elif args.at.startswith("peak:"):
+        state = landscape.peak_state(int(args.at.split(":", 1)[1]))
+    else:
+        state = landscape.parse_state(args.at)
+    grad = analysis.gradient(landscape, state)
+    return ["variable\tentry", *(f"{i + 1}\t{g}" for i, g in enumerate(grad))]
+
+
+def _degree_bounds(args) -> list[str]:
+    landscape = WindingLandscape(args.n, _schedule_from_args(args, args.n))
+    report = analysis.degree_bound_report(landscape, analysis.winding_peak_pairs(landscape))
+    rows = ["k\tdiffering_variables\tflow_bound\tchanged_odd_entries"]
+    for k, row in enumerate(report.rows, start=1):
+        odd = analysis.differing_odd_entries_below(landscape, k)
+        rows.append(f"{k}\t{','.join(str(v + 1) for v in row.differing)}\t{row.bound}\t{odd}")
+    floor = (landscape.n - 1) * landscape.n // 2
+    rows.append(f"# aggregate\t{report.total}\t(closed-form floor {floor})")
+    return rows
+
+
+def _census(args) -> list[str]:
+    if args.alpha is not None and args.kind != "pairs":
+        raise CliError("census takes --alpha with --kind pairs only")
+    if args.instance is not None:
+        if args.n is not None:
+            raise CliError("census takes no --n with --instance")
+        landscape = _load_landscape(args.instance)
+    elif args.n is None:
+        raise CliError("census needs --n")
+    elif args.kind == "pairs":
+        alpha = 2 if args.alpha is None else args.alpha
+        landscape = VcspLandscape(make_pairs_instance(args.n, alpha))
+    else:
+        landscape = SymbolCountingLandscape(args.n)
+    result = analysis.local_optima_census(landscape, args.max_states)
+    rows = [f"states={result.states} local_maxima={result.local_maxima} "
+            f"global_max={result.global_max} worst_local_max={result.worst_local_max}"]
+    if result.worst_local_max:
+        num, den = result.global_max, result.worst_local_max
+        rows.append(f"ratio={num // den}" if num % den == 0 else f"ratio={num}/{den}")
+    return rows
+
+
+_TABLES = {"scaling": _scaling, "gradient": _gradient,
+           "degree-bounds": _degree_bounds, "census": _census}
+
 
 def cmd_analyze(args) -> int:
     _check_output(args.out)
-    if args.n is None and (args.what in ("gradient", "degree-bounds")
-                           or args.what == "census" and args.kind and not args.instance):
-        raise CliError(f"{args.what} needs --n")
-    if args.what == "scaling":
-        schedule_name = args.schedule
-        rows = ["n\tvariables\tsteps\tclosed_form"]
-        for n in range(1, args.max_n + 1):
-            landscape = WindingLandscape(n, SCHEDULE_PRESETS[schedule_name](n))
-            trace = steepest_ascent(landscape, landscape.origin(),
-                                    max_steps=2 ** (n + 1))
-            rows.append(f"{n}\t{2 * n}\t{trace.num_steps}\t{2 ** (n + 1) - 2}")
-        _write_text(args.out, "\n".join(rows) + "\n")
-        return EXIT_OK
-
-    if args.what == "gradient":
-        landscape = WindingLandscape(args.n, _schedule_from_args(args, args.n))
-        if args.at == "origin":
-            state = landscape.origin()
-        elif args.at.startswith("peak:"):
-            state = landscape.peak_state(int(args.at.split(":", 1)[1]))
-        else:
-            state = tuple(int(b) for b in args.at)
-        grad = analysis.gradient(landscape, state)
-        rows = ["variable\tentry"]
-        rows.extend(f"{i + 1}\t{g}" for i, g in enumerate(grad))
-        _write_text(args.out, "\n".join(rows) + "\n")
-        return EXIT_OK
-
-    if args.what == "degree-bounds":
-        landscape = WindingLandscape(args.n, _schedule_from_args(args, args.n))
-        report = analysis.degree_bound_report(
-            landscape, analysis.winding_peak_pairs(landscape))
-        rows = ["k\tdiffering_variables\tflow_bound\tchanged_odd_entries"]
-        for k, row in enumerate(report.rows, start=1):
-            odd = analysis.differing_odd_entries_below(landscape, k)
-            rows.append(
-                f"{k}\t{','.join(str(v + 1) for v in row.differing)}\t{row.bound}\t{odd}")
-        floor = (landscape.n - 1) * landscape.n // 2
-        rows.append(f"# aggregate\t{report.total}\t(closed-form floor {floor})")
-        _write_text(args.out, "\n".join(rows) + "\n")
-        return EXIT_OK
-
-    if args.what == "census":
-        if args.instance:
-            landscape = _load_landscape(args.instance)
-        elif args.kind == "pairs":
-            landscape = VcspLandscape(make_pairs_instance(args.n, args.alpha))
-        elif args.kind == "counting-symbol":
-            landscape = SymbolCountingLandscape(args.n)
-        else:
-            raise CliError("census needs --instance or --kind")
-        result = analysis.local_optima_census(landscape, args.max_states)
-        print(f"states={result.states} local_maxima={result.local_maxima} "
-              f"global_max={result.global_max} worst_local_max={result.worst_local_max}")
-        if result.worst_local_max:
-            num, den = result.global_max, result.worst_local_max
-            if num % den == 0:
-                print(f"ratio={num // den}")
-            else:
-                print(f"ratio={num}/{den}")
-        return EXIT_OK
-
-    raise CliError(f"unknown analysis {args.what}")  # pragma: no cover
+    _write_text(args.out, "\n".join(_TABLES[args.table](args)) + "\n")
+    return EXIT_OK
 
 
 # -- parser -----------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = CliParser(
         prog="ascentlab",
         description="Hard landscapes for steepest ascent: generation, search, "
                     "analysis, and mechanical verification.")
     sub = parser.add_subparsers(dest="command", required=True)
+    preset = CliParser(add_help=False)
+    preset.add_argument("--schedule", choices=sorted(SCHEDULE_PRESETS),
+                        help="step schedule preset (default semismooth)")
+    schedule = CliParser(add_help=False, parents=[preset])
+    schedule.add_argument("--s-plus", help="explicit fittest steps, comma separated")
+    schedule.add_argument("--s-minus", help="explicit barrier steps, comma separated")
 
     gen = sub.add_parser("gen", help="generate an instance or landscape file")
-    gen.add_argument("kind", choices=["pairs", "counting-symbol",
-                                      "counting-boolean", "winding"])
-    gen.add_argument("--n", type=int, required=True,
-                     help="variable count (symbol count, or half the bits for winding)")
-    gen.add_argument("--alpha", type=int, help="pairs: value of the (1,1) cell")
-    gen.add_argument("--schedule", choices=sorted(SCHEDULE_PRESETS),
-                     default="semismooth")
-    gen.add_argument("--s-plus", help="explicit fittest steps, comma separated")
-    gen.add_argument("--s-minus", help="explicit barrier steps, comma separated")
-    gen.add_argument("-o", "--output", help="output file (default stdout)")
-    gen.set_defaults(func=cmd_gen)
+    kinds = gen.add_subparsers(dest="kind", required=True)
+    for kind in (*_INSTANCES, "winding"):
+        p = kinds.add_parser(kind, parents=[schedule] if kind == "winding" else [])
+        p.add_argument("--n", type=int, required=True,
+                       help="variable count (symbol count, or half the bits for winding)")
+        if kind == "pairs":
+            p.add_argument("--alpha", type=int, required=True, help="value of the (1,1) cell")
+        p.add_argument("-o", "--output", help="output file (default stdout)")
+        p.set_defaults(func=cmd_gen)
 
     run = sub.add_parser("run", help="run an ascent on an instance file")
     run.add_argument("instance", help="instance or winding document")
     run.add_argument("--max-steps", type=int, required=True,
                      help="step budget (mandatory: path lengths are exponential by design)")
     run.add_argument("--start", help="start state (symbols or bits; default all zeros)")
-    run.add_argument("--policy", choices=list(TIE_POLICIES), default=FAIL_ON_TIE)
-    run.add_argument("--engine", choices=["steepest", "first-improvement"],
-                     default="steepest")
-    run.add_argument("--seed", type=int, help="seed for first-improvement")
+    run.add_argument("--engine", choices=["steepest", "first-improvement"], default="steepest")
+    run.add_argument("--policy", choices=list(TIE_POLICIES),
+                     help=f"steepest: tie policy (default {FAIL_ON_TIE})")
+    run.add_argument("--seed", type=int, help="first-improvement: seed")
     run.add_argument("--trace-out", help="write the trace table here")
     run.set_defaults(func=cmd_run)
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument("suite", choices=["cpp", "arithmetic", "lockstep",
-                                          "gradient", "pathwidth", "all"])
-    verify.add_argument("--n", type=int, help="size parameter of the suite")
-    verify.add_argument("--budget", type=int, help="lockstep step budget")
-    verify.add_argument("--format", choices=["text", "json"], default="text")
-    verify.set_defaults(func=cmd_verify)
+    suites = verify.add_subparsers(dest="suite", required=True)
+    for suite, (_, size, _) in _SUITES.items():
+        p = suites.add_parser(suite)
+        if size is not None:
+            p.add_argument("--n", type=int, default=size,
+                           help=f"size parameter of the suite (default {size})")
+        if suite == "lockstep":
+            p.add_argument("--budget", type=int, help="step budget")
+        p.add_argument("--format", choices=["text", "json"], default="text")
+        p.set_defaults(func=cmd_verify)
 
     analyze = sub.add_parser("analyze", help="emit analysis tables")
-    analyze.add_argument("what", choices=["scaling", "gradient",
-                                          "degree-bounds", "census"])
-    analyze.add_argument("--max-n", type=int, default=14,
-                         help="scaling: largest winding level")
-    analyze.add_argument("--n", type=int, help="size parameter")
-    analyze.add_argument("--alpha", type=int, default=2)
-    analyze.add_argument("--kind", choices=["pairs", "counting-symbol"])
-    analyze.add_argument("--instance", help="census an instance file")
-    analyze.add_argument("--max-states", type=int, default=1_000_000)
-    analyze.add_argument("--schedule", choices=sorted(SCHEDULE_PRESETS),
-                         default="semismooth")
-    analyze.add_argument("--s-plus")
-    analyze.add_argument("--s-minus")
-    analyze.add_argument("--at", default="origin",
-                         help="gradient location: origin, peak:K, or a bit string")
-    analyze.add_argument("--out", help="output table file (default stdout)")
-    analyze.set_defaults(func=cmd_analyze)
+    tables = analyze.add_subparsers(dest="table", required=True)
+    tables.add_parser("scaling", parents=[preset]).add_argument(
+        "--max-n", type=int, default=14, help="largest winding level")
+    gradient = tables.add_parser("gradient", parents=[schedule])
+    gradient.add_argument("--at", default="origin",
+                          help="gradient location: origin, peak:K, or a state")
+    for p in (gradient, tables.add_parser("degree-bounds", parents=[schedule])):
+        p.add_argument("--n", type=int, required=True, help="winding level count")
+    census = tables.add_parser("census")
+    source = census.add_mutually_exclusive_group(required=True)
+    source.add_argument("--kind", choices=["pairs", "counting-symbol"])
+    source.add_argument("--instance", help="census an instance file")
+    census.add_argument("--n", type=int, help="--kind: size parameter")
+    census.add_argument("--alpha", type=int,
+                        help="--kind pairs: value of the (1,1) cell (default 2)")
+    census.add_argument("--max-states", type=int, default=1_000_000)
+    for p in tables.choices.values():
+        p.add_argument("--out", help="output table file (default stdout)")
+        p.set_defaults(func=cmd_analyze)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (CliError, VcspError, WindingError, analysis.AnalysisError,
-            rules.RuleError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -236,3 +236,8 @@ class SymbolCountingLandscape(Landscape):
 
     def format_state(self, state) -> str:
         return format_symbol_state(state)
+
+    def parse_state(self, text: str) -> tuple[str, ...]:
+        state = tuple(text.replace(",", " ").split())
+        self._check_state(state)
+        return state

@@ -117,10 +117,18 @@ class Landscape:
     def format_state(self, state) -> str:
         return self._state_separator.join(map(str, state))
 
+    def parse_state(self, text: str) -> tuple:
+        """The state that ``format_state`` prints as ``text``, commas read as
+        spaces, refused as ``evaluate`` refuses a state outside the landscape."""
+        tokens = text.replace(",", " ").split()
+        state = tuple(map(int, tokens if self._state_separator else "".join(tokens)))
+        self._check_state(state)
+        return state
+
     @cached_property
     def _state_separator(self) -> str:
         """One digit per value, unless a domain has more than 10 values:
-        then the values are space-separated, as ``run --start`` reads them."""
+        then the values are space-separated."""
         return " " if any(len(values) > 10 for values in self.domains()) else ""
 
 

@@ -483,11 +483,14 @@ def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
     Both the move and the improving flips (the table's improving entries)
     come from the move table of steepest ascent's own walk, which after each
     step recomputes only the deltas near the flipped position.
-    A tie or an ambiguous priority is reported as a failed check."""
+    A tie or an ambiguous priority is reported as a failed check; a
+    ``budget`` that is not a non-negative int is refused."""
     if landscape is None:
         landscape = SymbolCountingLandscape(n)
     if budget is None:
         budget = 2 ** (n + 4)
+    elif type(budget) is not int or budget < 0:
+        raise ValueError(f"budget must be a non-negative int, not {budget!r}")
     state = zero_state(n) if start is None else tuple(start)
     end = count_end_state(n)
     rep = Report(f"steepest-ascent / rule lockstep, N={n}")

@@ -86,16 +86,5 @@ def decode_bits(bits: tuple[int, ...]) -> tuple[str | None, ...]:
     return tuple(map(CODE_TO_SYMBOL.get, zip(*[iter(bits)] * 4)))[::-1]
 
 
-def parse_symbol_state(text: str) -> tuple[str, ...]:
-    """Parse "0,0,1" or "0 0 1" (X_1 rightmost, as printed)."""
-    parts = text.replace(",", " ").split()
-    for p in parts:
-        if p not in SYMBOL_INDEX:
-            raise ValueError(f"unknown symbol {p!r}")
-    if not parts:
-        raise ValueError("empty symbol state")
-    return tuple(parts)
-
-
 def format_symbol_state(state: tuple[str, ...]) -> str:
     return " ".join(state)

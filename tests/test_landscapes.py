@@ -30,9 +30,9 @@ from ascentlab.symbols import (
     decode_bits,
     decode_block,
     encode_state,
-    parse_symbol_state,
 )
 from ascentlab.vcsp import SoftConstraint, VcspError, VcspInstance, dump_instance
+from ascentlab.winding import WindingLandscape
 
 from test_move_table import table_mismatch
 
@@ -70,7 +70,7 @@ def test_encode_decode_round_trip():
         assert decode_block(CODES[s]) == s
     assert decode_block((0, 0, 0, 0)) is None
     assert decode_block((1, 1, 1, 0)) is None
-    state = parse_symbol_state("0 X iC0 1")
+    state = SymbolCountingLandscape(4).parse_state("0 X iC0 1")
     assert decode_bits(encode_state(state)) == state
 
 
@@ -284,3 +284,44 @@ def test_boolean_non_symbol_blocks_cost_zero():
     bad = tuple(b | extra for b, extra in zip(good, (1, 1, 0, 0) + (0,) * 4))
     assert decode_bits(bad)[-1] is None
     assert inst.evaluate(bad) == 0
+
+
+# -- state text ----------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_parse_state_reads_back_what_format_state_prints(data):
+    domains = tuple(data.draw(st.lists(st.integers(2, 12), min_size=1, max_size=5)))
+    for landscape in (
+        WindingLandscape(data.draw(st.integers(1, 5))),
+        VcspLandscape(make_pairs_instance(6, 3)),
+        VcspLandscape(make_counting_boolean_instance(2)),
+        SymbolCountingLandscape(data.draw(st.integers(2, 6))),
+        VcspLandscape(VcspInstance((12, 2, 10, 12), ())),
+        VcspLandscape(VcspInstance(domains, ())),
+    ):
+        state = tuple(data.draw(st.sampled_from(values)) for values in landscape.domains())
+        assert landscape.parse_state(landscape.format_state(state)) == state
+
+
+def test_parse_state_reads_commas_and_spaces_and_refuses_what_evaluate_refuses():
+    winding = WindingLandscape(3)
+    for text in ("010100", "0 1 0 1 0 0", "0,1,0,1,0,0", "01 01 00"):
+        assert winding.parse_state(text) == (0, 1, 0, 1, 0, 0)
+    wide = VcspLandscape(VcspInstance((12, 12, 12), ()))
+    assert wide.parse_state("10, 11 3") == (10, 11, 3)
+    symbols = SymbolCountingLandscape(3)
+    assert symbols.parse_state("0,iC0 X") == ("0", "iC0", "X")
+    # a state outside the landscape is refused as evaluate refuses it
+    for landscape, text, state in ((winding, "0101", (0, 1, 0, 1)),
+                                   (winding, "010120", (0, 1, 0, 1, 2, 0)),
+                                   (wide, "11 0", (11, 0)),
+                                   (wide, "11 0 12", (11, 0, 12)),
+                                   (wide, "", ()),
+                                   (symbols, "0 0", ("0", "0")),
+                                   (symbols, "0 0 Q", ("0", "0", "Q"))):
+        with pytest.raises(ValueError) as refused:
+            landscape.parse_state(text)
+        with pytest.raises(ValueError) as evaluated:
+            landscape.evaluate(state)
+        assert str(refused.value) == str(evaluated.value) != ""

@@ -456,3 +456,46 @@ def test_lockstep_reports_a_tie_an_ambiguity_or_a_halt_as_a_failure():
     report = verify_steepest_equals_rules(3, start=S("0 0 X"))
     assert not report.passed
     assert report.lines()[1] == "[FAIL] lockstep: steepest ascent halts at 0 0 X (step 0)"
+
+
+def test_lockstep_reports_a_divergence_as_a_failure(monkeypatch):
+    # at <0 X 0 0> rules 1a and 7a apply and steepest takes 7a; a priority
+    # under which group 1 wins makes the rules take 1a
+    assert verify_steepest_equals_rules(4, start=S("0 X 0 0")).passed
+    monkeypatch.setattr(rules, "_beats", lambda g1, g2: g1 == 1)
+    report = verify_steepest_equals_rules(4, start=S("0 X 0 0"))
+    assert not report.passed
+    assert report.lines()[1] == (
+        "[FAIL] lockstep: divergence at step 0, state 0 X 0 0: "
+        "steepest -> 0 iX1 0 0, rules -> 0 X 0 i01")
+
+
+def test_lockstep_reports_an_exhausted_budget_as_a_failure():
+    assert verify_steepest_equals_rules(4, budget=40).passed
+    report = verify_steepest_equals_rules(4, budget=3)
+    assert not report.passed
+    assert report.lines()[1] == "[FAIL] lockstep: budget 3 exhausted before 01^(N-1)"
+
+
+@pytest.mark.parametrize("budget", [-1, -5, True, 2.5, "8"])
+def test_lockstep_refuses_a_budget_that_is_not_a_non_negative_int(budget):
+    with pytest.raises(ValueError) as excinfo:
+        verify_steepest_equals_rules(4, budget=budget)
+    assert str(excinfo.value) == f"budget must be a non-negative int, not {budget!r}"
+
+
+def test_cpp_closure_reports_a_rule_path_error_as_a_failure(monkeypatch):
+    label = "improving flips match rules on the counting path"
+    # no last-symbol rule: the rules halt at once (RuleError)
+    monkeypatch.setattr(rules, "_LAST_APPS", {})
+    report = verify_cpp_closure(3)
+    assert not report.passed
+    assert report.lines()[2] == f"[FAIL] {label}: rules halt at 0 0 0 before reaching stop"
+    monkeypatch.undo()
+    # a priority that never decides: two candidates stay (AmbiguousPriorityError)
+    monkeypatch.setattr(rules, "_beats", lambda g1, g2: False)
+    report = verify_cpp_closure(4)
+    assert not report.passed
+    assert report.lines()[2] == (
+        f"[FAIL] {label}: priority does not single out a rule at 0 0 C C: "
+        "[('5a', 1), ('4a', 3)]")
