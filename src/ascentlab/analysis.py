@@ -299,22 +299,15 @@ def verify_gradient_formulas(n_high: int = 6, aggregate_n: int = 8) -> Report:
             g = gradient(landscape, landscape.origin())
             fd = gradient_by_full_evaluations(landscape, landscape.origin())
             expected = landscape.origin_gradient_expected()
-            rep.add(
-                f"origin gradient, {preset} n={n}",
-                g == expected == fd,
-                f"{list(g)}",
-            )
+            rep.add(f"origin gradient, {preset} n={n}", g == expected == fd, f"{list(g)}")
             peaks_ok = True
             for k in range(1, n + 1):
                 peak = landscape.peak_state(k)
-                gk = gradient(landscape, peak)
-                fdk = gradient_by_full_evaluations(landscape, peak)
-                if not (gk == landscape.peak_gradient_expected(k) == fdk):
+                gk, expected = gradient(landscape, peak), landscape.peak_gradient_expected(k)
+                if not gk == expected == gradient_by_full_evaluations(landscape, peak):
                     peaks_ok = False
-                    rep.add(
-                        f"peak gradient, {preset} n={n} k={k}", False,
-                        f"got {list(gk)}, expected "
-                        f"{list(landscape.peak_gradient_expected(k))}")
+                    rep.add(f"peak gradient, {preset} n={n} k={k}", False,
+                            f"got {list(gk)}, expected {list(expected)}")
             if peaks_ok:
                 rep.add(f"peak gradients, {preset} n={n}", True,
                         f"all {n} sub-cube peaks match, entry-wise exact")

@@ -57,6 +57,13 @@ class CliParser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # before a subcommand, an option's value would read as the subcommand
+        option = args[0] if self._subparsers and args else ""
+        if option[:1] == "-" and option not in ("-h", "--help", "--"):
+            self.error(f"option {option.split('=')[0]} goes after the subcommand of {self.prog}")
+        return super().parse_known_args(args, namespace)
+
 
 def _schedule_from_args(args, n: int) -> StepSchedule:
     if args.s_plus is None and args.s_minus is None:
@@ -350,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

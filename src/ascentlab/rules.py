@@ -8,17 +8,20 @@ by strictly improving single-flip moves.  The recognizer below is a
 13-state left-to-right scan (most significant symbol first) that was
 extracted from the exhaustively computed improving-flip closure; the tests
 check that it matches it exactly for N = 2..6 (10, 40, 166, 714 and 3132
-states).  Beyond single-carry-block states, the
-closure also contains stacked carry machinery: improving but non-steepest
-flips can start a fresh increment in the zeros below an unresolved carry,
-so admissible states may hold several blocks in flight at once (e.g.
-<X C 0 C> or <X iC0 iC0>).  All of those resolve without ever leaving the
-set, which is exactly what verify_cpp_closure demonstrates.
+states).  Beyond single-carry-block states, the closure also contains
+stacked carry machinery: improving but non-steepest flips can start a fresh
+increment in the zeros below an unresolved carry, so admissible states may
+hold several blocks in flight at once (e.g. <X C 0 C> or <X iC0 iC0>).  All
+of those resolve without ever leaving the set, which is exactly what
+verify_cpp_closure demonstrates.  An admissible state's one label is its
+``family``, read off its topmost block: a value of MAIN_FAMILIES, whose key
+is the main family's index, or one of INTERMEDIATE_FAMILIES.
 
 Transition rules
 ----------------
 Rules 1a..7b are syntactic guards over (X_{i+1}, X_i) pairs, or over the
-last symbol with X_2 a plain bit; guard matching never requires
+last symbol with X_2 a plain bit; a rule's ``changes`` names the symbol it
+rewrites ("above", "below" or "last"), and guard matching never requires
 admissibility.  Priorities form a partial order: each of rule groups 3..7
 beats groups 1 and 2, and group 5 beats 3 and 4.  The prioritized successor
 must be unique, and the oracle treats any residual ambiguity as an error
@@ -52,14 +55,14 @@ class AmbiguousPriorityError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # The rules.  Pair rules are keyed by the (X_{i+1}, X_i) guard; `changes`
-# says which of the two rewrites.  Last-symbol rules require X_2 in {0, 1}.
+# says which of the two rewrites.  A rule that changes the "last" symbol
+# is guarded by X_1 alone and requires X_2 in {0, 1}.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Rule:
     rule_id: str
     group: int
-    kind: str            # "last" or "pair"
     guard: tuple         # last: (old,); pair: (above, below)
     changes: str         # "last", "above", "below"
     new_symbol: str
@@ -69,25 +72,24 @@ class Rule:
 RULES: dict[str, Rule] = {}
 
 
-def _add(rule_id, kind, guard, changes, new_symbol, description):
-    RULES[rule_id] = Rule(rule_id, int(rule_id[0]), kind, guard, changes,
-                          new_symbol, description)
+def _add(rule_id, guard, changes, new_symbol, description):
+    RULES[rule_id] = Rule(rule_id, int(rule_id[0]), guard, changes, new_symbol, description)
 
 
-_add("1a", "last", ("0",), "last", "i01", "increment: last 0 -> i01")
-_add("1b", "last", ("i01",), "last", "1", "increment: last i01 -> 1")
-_add("2a", "last", ("1",), "last", "i1C", "start carry: last 1 -> i1C")
-_add("2b", "last", ("i1C",), "last", "C", "start carry: last i1C -> C")
-_add("3a", "pair", ("1", "C"), "above", "i1C", "carry into 1: 1C -> i1C C")
-_add("3b", "pair", ("i1C", "C"), "above", "C", "carry into 1: i1C C -> CC")
-_add("4a", "pair", ("0", "C"), "above", "i0X", "carry into 0: 0C -> i0X C")
-_add("4b", "pair", ("i0X", "C"), "above", "X", "carry into 0: i0X C -> XC")
-_add("5a", "pair", ("C", "C"), "below", "iC0", "drop carry after C: CC -> C iC0")
-_add("5b", "pair", ("C", "iC0"), "below", "0", "drop carry after C: C iC0 -> C0")
-_add("6a", "pair", ("X", "C"), "below", "iC0", "drop carry after X: XC -> X iC0")
-_add("6b", "pair", ("X", "iC0"), "below", "0", "drop carry after X: X iC0 -> X0")
-_add("7a", "pair", ("X", "0"), "above", "iX1", "use the carry: X0 -> iX1 0")
-_add("7b", "pair", ("iX1", "0"), "above", "1", "use the carry: iX1 0 -> 10")
+_add("1a", ("0",), "last", "i01", "increment: last 0 -> i01")
+_add("1b", ("i01",), "last", "1", "increment: last i01 -> 1")
+_add("2a", ("1",), "last", "i1C", "start carry: last 1 -> i1C")
+_add("2b", ("i1C",), "last", "C", "start carry: last i1C -> C")
+_add("3a", ("1", "C"), "above", "i1C", "carry into 1: 1C -> i1C C")
+_add("3b", ("i1C", "C"), "above", "C", "carry into 1: i1C C -> CC")
+_add("4a", ("0", "C"), "above", "i0X", "carry into 0: 0C -> i0X C")
+_add("4b", ("i0X", "C"), "above", "X", "carry into 0: i0X C -> XC")
+_add("5a", ("C", "C"), "below", "iC0", "drop carry after C: CC -> C iC0")
+_add("5b", ("C", "iC0"), "below", "0", "drop carry after C: C iC0 -> C0")
+_add("6a", ("X", "C"), "below", "iC0", "drop carry after X: XC -> X iC0")
+_add("6b", ("X", "iC0"), "below", "0", "drop carry after X: X iC0 -> X0")
+_add("7a", ("X", "0"), "above", "iX1", "use the carry: X0 -> iX1 0")
+_add("7b", ("iX1", "0"), "above", "1", "use the carry: iX1 0 -> 10")
 
 
 @dataclass(frozen=True)
@@ -101,19 +103,19 @@ class RuleApplication:
         return state[:pos] + (self.new_symbol,) + state[pos + 1:]
 
 
-def _apps_by_guard(kind: str, variable: dict) -> dict[tuple, list[RuleApplication]]:
-    """The applications of the ``kind`` rules by guard; ``variable`` maps
-    what a rule changes to the variable it rewrites."""
+def _apps_by_guard(variable: dict) -> dict[tuple, list[RuleApplication]]:
+    """The applications by guard of the rules whose ``changes`` is a key of
+    ``variable``, which maps it to the variable such a rule rewrites."""
     index: dict[tuple, list[RuleApplication]] = {}
     for rule in RULES.values():
-        if rule.kind == kind:
+        if rule.changes in variable:
             index.setdefault(rule.guard, []).append(
                 RuleApplication(rule.rule_id, variable[rule.changes], rule.new_symbol))
     return index
 
 
 # by X_1, the one symbol of a last-symbol guard
-_LAST_APPS = {guard[0]: apps for guard, apps in _apps_by_guard("last", {"last": 1}).items()}
+_LAST_APPS = {guard[0]: apps for guard, apps in _apps_by_guard({"last": 1}).items()}
 _ORDER = operator.attrgetter("variable", "rule_id")
 
 
@@ -121,7 +123,7 @@ _ORDER = operator.attrgetter("variable", "rule_id")
 def _pair_apps(n: int) -> tuple[dict, ...]:
     """Per pair position k of an ``n``-symbol state, where (X_{i+1}, X_i) =
     (state[k], state[k+1]): the applications there by guard."""
-    return tuple(_apps_by_guard("pair", {"above": n - k, "below": n - k - 1})
+    return tuple(_apps_by_guard({"above": n - k, "below": n - k - 1})
                  for k in range(n - 1))
 
 
@@ -145,9 +147,7 @@ def applicable_rules(state: tuple[str, ...]) -> list[RuleApplication]:
 
 
 def _beats(g1: int, g2: int) -> bool:
-    if g2 in (1, 2) and g1 in (3, 4, 5, 6, 7):
-        return True
-    return g1 == 5 and g2 in (3, 4)
+    return g2 in (1, 2) and g1 in (3, 4, 5, 6, 7) or g1 == 5 and g2 in (3, 4)
 
 
 def rule_successor(state: tuple[str, ...]):
@@ -242,14 +242,8 @@ _DFA = {
 
 _ACCEPTING = {_ZEROS, _BIT1, _BIT0, _CARRY, _CARRY_SUB, _I01_END, _I1C_END}
 
-MAIN_FAMILIES = {
-    1: "{01}+",
-    2: "{01}*1C...",
-    3: "{01}*0C...",
-    4: "{01}*CC...",
-    5: "{01}*XC...",
-    6: "{01}*X0...",
-}
+MAIN_FAMILIES = {1: "{01}+", 2: "{01}*1C...", 3: "{01}*0C...",
+                 4: "{01}*CC...", 5: "{01}*XC...", 6: "{01}*X0..."}
 INTERMEDIATE_FAMILIES = (
     "i01", "i1C", "i1CC", "i0XC", "CiC0", "XiC0", "iX1",
     # orphaned carry-drop: the head of a CiC0/XiC0 block resolved first,
@@ -261,47 +255,31 @@ INTERMEDIATE_FAMILIES = (
 @dataclass(frozen=True)
 class AdmissibleClass:
     admissible: bool
-    kind: str | None = None        # "main" or "intermediate"
-    family: str | None = None
-    main_index: int | None = None  # 1..6 for the main families
+    family: str | None = None  # a value of MAIN_FAMILIES, or in INTERMEDIATE_FAMILIES
 
 
 INADMISSIBLE = AdmissibleClass(False)
+_LABELS = {f: AdmissibleClass(True, f) for f in (*MAIN_FAMILIES.values(), *INTERMEDIATE_FAMILIES)}
+# The family of an admissible state by its topmost symbol that is not a plain
+# bit and the symbol below it, else by that symbol alone; a C so labelled
+# heads family 2 instead when the bit above it is a 1.
+_FAMILY_BY_PAIR = {("C", "C"): MAIN_FAMILIES[4], ("X", "C"): MAIN_FAMILIES[5],
+                   ("C", "iC0"): "CiC0", ("X", "iC0"): "XiC0", ("i1C", "C"): "i1CC"}
+_FAMILY_BY_TOP = {"C": MAIN_FAMILIES[3], "X": MAIN_FAMILIES[6], "i01": "i01", "i1C": "i1C",
+                  "i0X": "i0XC", "iX1": "iX1", "iC0": "iC0"}
 
 
 def _family_of(state: tuple[str, ...]) -> AdmissibleClass:
     """Label an admissible state by its topmost block."""
     first = next((k for k, s in enumerate(state) if s not in ("0", "1")), None)
     if first is None:
-        return AdmissibleClass(True, "main", MAIN_FAMILIES[1], 1)
-    s = state[first]
-    after = state[first + 1] if first + 1 < len(state) else None
-    if s == "C":
-        if after == "C":
-            idx = 4
-        elif after == "iC0":
-            return AdmissibleClass(True, "intermediate", "CiC0")
-        else:
-            idx = 2 if state[first - 1] == "1" else 3
-        return AdmissibleClass(True, "main", MAIN_FAMILIES[idx], idx)
-    if s == "X":
-        if after == "C":
-            return AdmissibleClass(True, "main", MAIN_FAMILIES[5], 5)
-        if after == "iC0":
-            return AdmissibleClass(True, "intermediate", "XiC0")
-        return AdmissibleClass(True, "main", MAIN_FAMILIES[6], 6)
-    if s == "i1C":
-        family = "i1CC" if after == "C" else "i1C"
-        return AdmissibleClass(True, "intermediate", family)
-    if s == "i01":
-        return AdmissibleClass(True, "intermediate", "i01")
-    if s == "i0X":
-        return AdmissibleClass(True, "intermediate", "i0XC")
-    if s == "iX1":
-        return AdmissibleClass(True, "intermediate", "iX1")
-    if s == "iC0":
-        return AdmissibleClass(True, "intermediate", "iC0")
-    raise AssertionError(f"unlabelled admissible state {state}")
+        return _LABELS[MAIN_FAMILIES[1]]
+    family = _FAMILY_BY_PAIR.get(state[first:first + 2]) or _FAMILY_BY_TOP.get(state[first])
+    if family is None:
+        raise AssertionError(f"unlabelled admissible state {state}")
+    if family == MAIN_FAMILIES[3] and state[first - 1] == "1":
+        family = MAIN_FAMILIES[2]
+    return _LABELS[family]
 
 
 def classify(state: tuple[str, ...]) -> AdmissibleClass:
@@ -312,10 +290,7 @@ def classify(state: tuple[str, ...]) -> AdmissibleClass:
     intermediates count as admissible.
     """
     if len(state) == 1:
-        if state[0] in ("0", "1", "i01", "i1C"):
-            return _family_of(state) if state[0] in ("0", "1") else AdmissibleClass(
-                True, "intermediate", state[0])
-        return INADMISSIBLE
+        return _family_of(state) if state[0] in ("0", "1", "i01", "i1C") else INADMISSIBLE
     ctx = _START
     for sym in state:
         ctx = _DFA[ctx].get(sym)
@@ -396,11 +371,9 @@ def verify_rule_arithmetic() -> Report:
     for body in templates:
         state = ("0",) + body + ("0", "0")
         landscape = SymbolCountingLandscape(len(state))
-        apps = applicable_rules(state)
-        delta_by_rule = {}
-        for app in apps:
-            pos = len(state) - app.variable
-            delta_by_rule[app.rule_id] = landscape.delta(state, (pos, app.new_symbol))
+        delta_by_rule = {
+            a.rule_id: landscape.delta(state, (landscape.n - a.variable, a.new_symbol))
+            for a in applicable_rules(state)}
         others = {r: d for r, d in delta_by_rule.items() if r != "1a"}
         ok = delta_by_rule.get("1a") == 1 and others and all(d > 1 for d in others.values())
         rep.add(
@@ -412,6 +385,9 @@ def verify_rule_arithmetic() -> Report:
     return rep
 
 
+CLOSURE_MAX_STATES = 10 ** 8   # verify_cpp_closure reads every state: 10^8 is N = 8
+
+
 def verify_cpp_closure(n: int, landscape: SymbolCountingLandscape | None = None) -> Report:
     """Exhaustive closure and rule-coverage oracle over all 10^N states.
 
@@ -420,10 +396,14 @@ def verify_cpp_closure(n: int, landscape: SymbolCountingLandscape | None = None)
     01^(N-1) the set of strictly improving flips equals the set of
     guard-matching rule transitions.  Passing a corrupted landscape breaks
     (b) (and possibly (a)), which is how the oracle's own sensitivity is
-    tested.  The detail shows the first 20 counterexamples.
+    tested.  The detail shows the first 20 counterexamples.  A landscape of
+    more than CLOSURE_MAX_STATES states is refused before any is read.
     """
     if landscape is None:
         landscape = SymbolCountingLandscape(n)
+    if landscape.state_count() > CLOSURE_MAX_STATES:
+        raise ValueError(f"state space has {landscape.state_count()} states, "
+                         f"over the cap {CLOSURE_MAX_STATES}")
     rep = Report(f"counting-path closure, N={n}")
 
     admissible_count = 0

@@ -182,7 +182,7 @@ class WindingLandscape(Landscape):
         reads each of them with coefficient 0 or 1.  So while no level above
         K is at its peak, the bits of pairs K+1..n alone fix their entry in
         ``_highs``: the side entering level K from above, the fitness as
-        a + (f0[K], f1[K])[r], and each high flip's delta as c_i + e_i * D,
+        a + (f0[K], f1[K])[side], and each high flip's delta as c_i + e_i * D,
         with D = f0[K] - f1[K] and e_i in {-1, 0, 1}.  The bits of pairs
         1..K and that side fix (f0[K], f1[K]) and the 2K low deltas, the
         entry in ``_lows[side]``, when at least two of pairs 1..K-1 are not
@@ -198,7 +198,7 @@ class WindingLandscape(Landscape):
         high = highs.get(key)
         if high is None:
             high = highs[key] = self._high_entry(key)
-        side, a, r, cs, es = high
+        side, a, cs, es = high
         lows = self._lows[side]
         key = state[:half]
         low = lows.get(key)
@@ -211,10 +211,10 @@ class WindingLandscape(Landscape):
             return f0[-1], tuple(deltas)
         x, y, deltas = low
         d = x - y
-        return a + (y if r else x), deltas + tuple([c + e * d for c, e in zip(cs, es)])
+        return a + (y if side else x), deltas + tuple([c + e * d for c, e in zip(cs, es)])
 
     def _high_entry(self, bits):
-        """``(side, a, r, cs, es)`` of ``_level_scan`` for the ``bits`` of
+        """``(side, a, cs, es)`` of ``_level_scan`` for the ``bits`` of
         pairs K+1..n, right whenever no level above K is at its peak.
 
         Both passes of ``_level_pass`` over those pairs, on values written
@@ -241,7 +241,7 @@ class WindingLandscape(Landscape):
                 value(level, a ^ 1, b, side), value(level, a, b ^ 1, side))])
             side = a ^ side if a == b else 0
         cs, es = zip(*[flip for pair in reversed(flips) for flip in pair])
-        return side, g0[0], g0[1], cs, es
+        return side, g0[0], cs, es
 
     def _level_pass(self, state):
         """``(f0, f1, deltas)``: one bottom-up pass of the level recursion,
@@ -395,10 +395,8 @@ class WindingLandscape(Landscape):
                 if i < k:
                     odd, even = -odd, -even
                 out.extend([odd, even])
-            elif i == k + 1:
-                out.extend([sp[i - 1], sm[i - 1]])
             else:
-                out.extend([sm[i - 1], sm[i - 1]])
+                out.extend([sp[i - 1] if i == k + 1 else sm[i - 1], sm[i - 1]])
         return tuple(out)
 
 

@@ -198,6 +198,7 @@ def test_treewidth_known_graphs():
     k5 = ConstraintGraph(5, tuple(
         frozenset(j for j in range(5) if j != i) for i in range(5)))
     assert treewidth_exact(k5) == 4
+    assert treewidth_exact(ConstraintGraph(0, ())) == 0
     with pytest.raises(AnalysisError):
         treewidth_exact(ConstraintGraph(20, tuple(frozenset() for _ in range(20))))
 

@@ -372,6 +372,7 @@ def test_run_refuses_malformed_documents_naming_the_field(tmp_path, capsys):
         (dict(pairs, constraints=[5]), "constraint 0"),
         (dict(pairs, domains=4), "domains"),
         (dict(pairs, metadata=[1]), "metadata"),
+        (dict(winding, format="nope"), "error: unrecognized document format 'nope'\n"),
         ([winding], "JSON list"),
         ("winding", "JSON str"),
     ]
@@ -562,14 +563,21 @@ def test_an_option_the_command_does_not_read_is_refused(argv, tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["gen", "pairs", "--n", "x"], "argument --n: invalid int value: 'x'"),
     (["gen", "pairs", "--n", "4"], "the following arguments are required: --alpha"),
-    # an option goes after its subcommand; before it, the value reads as the kind
-    (["gen", "--n", "4", "pairs"], "argument kind: invalid choice: '4'"),
+    # an option goes after its subcommand; before it, it is named and refused
+    (["gen", "--n", "4", "pairs"], "option --n goes after the subcommand"),
     (["verify", "lockstep", "--n", "4", "--budget", "-5"],
      "budget must be a non-negative int, not -5"),
     (["analyze", "scaling", "--max-n", "0"], "scaling needs --max-n >= 1"),
     (["analyze", "census"], "one of the arguments --kind --instance is required"),
     (["run", "{data}/cs5.json", "--max-steps", "5", "--engine", "first-improvement"],
      "first-improvement needs --seed"),
+    (["verify", "--n", "4", "cpp"], "option --n goes after the subcommand of ascentlab verify"),
+    (["analyze", "--out", "x.tsv", "scaling"],
+     "option --out goes after the subcommand of ascentlab analyze"),
+    (["verify", "cpp", "--n", "9"], "state space has 1000000000 states, over the cap 100000000"),
+    (["gen", "winding", "--n", "3", "--s-plus", "2,3,5"],
+     "--s-plus and --s-minus must be given together"),
+    (["analyze", "gradient", "--n", "3", "--at", "peak:0"], "k must be in 1..3"),
 ])
 def test_a_refusal_is_one_error_line(argv, message, capsys):
     argv = [arg.replace("{data}", str(GOLDEN)) for arg in argv]
@@ -610,6 +618,24 @@ def test_verify_all_fails_when_one_member_suite_fails(monkeypatch, capsys):
     assert failed and all(line.startswith("[FAIL] winding gradient formulas: origin gradient")
                           for line in failed)
     assert lines[-1] == "result: FAIL"
+
+
+def test_verify_gradient_fails_on_one_wrong_peak_gradient(monkeypatch, capsys):
+    from ascentlab.winding import WindingLandscape
+
+    # the level-2 peak's closed form off by one, at n = 3 only
+    expected = WindingLandscape.peak_gradient_expected
+    monkeypatch.setattr(WindingLandscape, "peak_gradient_expected", lambda self, k: (
+        (expected(self, k)[0] + 1, *expected(self, k)[1:]) if (self.n, k) == (3, 2)
+        else expected(self, k)))
+    assert main(["verify", "gradient", "--n", "3"]) == EXIT_VERIFY_FAILED
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("[FAIL]")]
+    assert failed == [
+        "[FAIL] peak gradient, root2path n=3 k=2: "
+        "got [-2, -1, 8, 8, 3, 0], expected [-1, -1, 8, 8, 3, 0]",
+        "[FAIL] peak gradient, semismooth n=3 k=2: "
+        "got [-3, -2, 13, 13, 4, 1], expected [-2, -2, 13, 13, 4, 1]"]
 
 
 @pytest.mark.parametrize("case", json.loads((GOLDEN / "commands.json").read_text()),

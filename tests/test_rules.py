@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -13,8 +14,10 @@ from ascentlab.counting import F_NONZERO, SymbolCountingLandscape, zero_state
 from ascentlab.rules import (
     AmbiguousPriorityError,
     INTERMEDIATE_FAMILIES,
+    MAIN_FAMILIES,
     RULES,
     RuleApplication,
+    RuleError,
     applicable_rules,
     classify,
     counting_path,
@@ -38,19 +41,19 @@ def rule_ids(state) -> set[str]:
 
 def test_classify_examples():
     c = classify(S("0 0 1 1"))
-    assert c.admissible and c.kind == "main" and c.main_index == 1
+    assert c.admissible and c.family == MAIN_FAMILIES[1]
     c = classify(S("0 X C 0"))
-    assert c.admissible and c.kind == "main" and c.main_index == 5
+    assert c.admissible and c.family == MAIN_FAMILIES[5]
     assert not classify(S("i1C C iC0")).admissible
 
 
 def test_classify_main_families():
-    assert classify(S("0 1 0 1")).main_index == 1
-    assert classify(S("0 1 C")).main_index == 2
-    assert classify(S("0 0 C 0")).main_index == 3
-    assert classify(S("0 C C 0")).main_index == 4
-    assert classify(S("0 X C 0 0")).main_index == 5
-    assert classify(S("0 X 0 0")).main_index == 6
+    assert classify(S("0 1 0 1")).family == MAIN_FAMILIES[1]
+    assert classify(S("0 1 C")).family == MAIN_FAMILIES[2]
+    assert classify(S("0 0 C 0")).family == MAIN_FAMILIES[3]
+    assert classify(S("0 C C 0")).family == MAIN_FAMILIES[4]
+    assert classify(S("0 X C 0 0")).family == MAIN_FAMILIES[5]
+    assert classify(S("0 X 0 0")).family == MAIN_FAMILIES[6]
 
 
 def test_classify_intermediate_families():
@@ -66,7 +69,7 @@ def test_classify_intermediate_families():
     }
     for text, family in cases.items():
         c = classify(S(text))
-        assert c.admissible and c.kind == "intermediate" and c.family == family
+        assert c.admissible and c.family == family
     assert set(cases.values()) == set(INTERMEDIATE_FAMILIES)
 
 
@@ -74,6 +77,59 @@ def test_classify_rejects_unreachable_states():
     for text in ("1 0 0", "C 0 0", "0 X 1", "0 0 iCX", "0 i01 0",
                  "i1C C C", "0 C i1C", "0 X iC0 1"):
         assert not classify(S(text)).admissible, text
+
+
+# Per N: the admissible states per family, and the sha256 of the sorted
+# (state, family) pairs, one "symbols<TAB>family" line each.  Recorded from
+# the labeller that stored a main/intermediate kind and a main index beside
+# the family, so the one remaining field still names every state alike.
+FAMILY_CENSUS = {
+    2: ({"{01}+": 2, "{01}*0C...": 1, "{01}*XC...": 1, "{01}*X0...": 1,
+         "i01": 1, "i1C": 1, "i0XC": 1, "XiC0": 1, "iX1": 1},
+        "cc334334b427dbca5e3f6fdf4c07d0d7c247b479f43d1001752938240db92541"),
+    3: ({"{01}+": 4, "{01}*1C...": 1, "{01}*0C...": 2, "{01}*CC...": 1, "{01}*XC...": 4,
+         "{01}*X0...": 7, "i01": 2, "i1C": 2, "i1CC": 1, "i0XC": 4, "CiC0": 1, "XiC0": 4,
+         "iX1": 7},
+        "37362df01e9a2dd150e06ac8b4f055b4944704fc66e5af99846de34addd1f73f"),
+    4: ({"{01}+": 8, "{01}*1C...": 3, "{01}*0C...": 10, "{01}*CC...": 5, "{01}*XC...": 18,
+         "{01}*X0...": 31, "i01": 4, "i1C": 4, "i1CC": 5, "i0XC": 18, "CiC0": 5, "XiC0": 23,
+         "iX1": 31, "iC0": 1},
+        "6f2af2982b28e581178b4ad7167efac2b2eb8a0a99a5fc220db020895fa161e0"),
+    5: ({"{01}+": 16, "{01}*1C...": 13, "{01}*0C...": 39, "{01}*CC...": 23, "{01}*XC...": 80,
+         "{01}*X0...": 142, "i01": 8, "i1C": 8, "i1CC": 23, "i0XC": 80, "CiC0": 28,
+         "XiC0": 106, "iX1": 142, "iC0": 6},
+        "02999a4725d81b0ec1553b40a83e507b81156c88e7e386f8ea35f8404cfc22f2"),
+    6: ({"{01}+": 32, "{01}*1C...": 52, "{01}*0C...": 173, "{01}*CC...": 103,
+         "{01}*XC...": 359, "{01}*X0...": 633, "i01": 16, "i1C": 16, "i1CC": 103,
+         "i0XC": 359, "CiC0": 134, "XiC0": 485, "iX1": 633, "iC0": 34},
+        "3c498fdab01f675ade58cd96d6c737b2bc61bfc7b5191005c49c0cf84d3ed416"),
+}
+
+
+def test_every_state_keeps_its_recorded_family():
+    labels = set(MAIN_FAMILIES.values()) | set(INTERMEDIATE_FAMILIES)
+    total = 0
+    for n, (counts, digest) in FAMILY_CENSUS.items():
+        pairs = []
+        for state in itertools.product(SYMBOLS, repeat=n):
+            c = classify(state)
+            assert (c.family is None) == (not c.admissible), state
+            if c.admissible:
+                assert c.family in labels, state
+                pairs.append((state, c.family))
+        pairs.sort()
+        text = "\n".join(" ".join(state) + "\t" + family for state, family in pairs)
+        assert Counter(family for _, family in pairs) == counts, n
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, n
+        total += len(pairs)
+    assert total == 4_062
+
+
+def test_an_accepted_word_without_a_family_is_an_error(monkeypatch):
+    # a transition the scan accepts but no family table names
+    monkeypatch.setitem(rules._DFA[rules._ZEROS], "iCX", rules._BIT0)
+    with pytest.raises(AssertionError, match=r"unlabelled admissible state \('0', 'iCX'\)"):
+        classify(S("0 iCX"))
 
 
 def improving_flip_closure(landscape, start, per_move=False):
@@ -159,7 +215,7 @@ def applicable_by_scan(state):
     n = len(state)
     out = []
     for rule in RULES.values():
-        if rule.kind == "last":
+        if rule.changes == "last":
             if (n == 1 or state[n - 2] in ("0", "1")) and rule.guard == (state[n - 1],):
                 out.append(RuleApplication(rule.rule_id, 1, rule.new_symbol))
             continue
@@ -186,15 +242,15 @@ def applicable_by_pairs(state):
     afresh, then sorted."""
     by_guard = {}
     for rule in RULES.values():
-        by_guard.setdefault((rule.kind, rule.guard), []).append(rule)
+        by_guard.setdefault((rule.changes == "last", rule.guard), []).append(rule)
     n = len(state)
     out = []
     if n == 1 or state[n - 2] in ("0", "1"):
-        for rule in by_guard.get(("last", (state[n - 1],)), ()):
+        for rule in by_guard.get((True, (state[n - 1],)), ()):
             out.append(RuleApplication(rule.rule_id, 1, rule.new_symbol))
     for k, pair in enumerate(zip(state, state[1:])):
         above_var = n - k
-        for rule in by_guard.get(("pair", pair), ()):
+        for rule in by_guard.get((False, pair), ()):
             var = above_var if rule.changes == "above" else above_var - 1
             out.append(RuleApplication(rule.rule_id, var, rule.new_symbol))
     out.sort(key=lambda a: (a.variable, a.rule_id))
@@ -407,6 +463,14 @@ def test_cpp_closure_at_five_and_six_symbols(n, admissible):
     assert f"{admissible} admissible states of {10 ** n}" in report.checks[0].detail
 
 
+def test_cpp_closure_refuses_a_landscape_over_its_cap_before_reading_it(monkeypatch):
+    monkeypatch.setattr(rules, "CLOSURE_MAX_STATES", 10 ** 3)
+    assert verify_cpp_closure(3).passed
+    with pytest.raises(ValueError) as refused:
+        verify_cpp_closure(4)
+    assert str(refused.value) == "state space has 10000 states, over the cap 1000"
+
+
 def test_cpp_closure_detects_corrupted_table():
     corrupted = dict(F_NONZERO)
     corrupted[("i1C", "C")] = 0
@@ -499,3 +563,11 @@ def test_cpp_closure_reports_a_rule_path_error_as_a_failure(monkeypatch):
     assert report.lines()[2] == (
         f"[FAIL] {label}: priority does not single out a rule at 0 0 C C: "
         "[('5a', 1), ('4a', 3)]")
+
+
+def test_counting_path_stops_rules_that_cycle_at_its_budget(monkeypatch):
+    # 1b rewrites i01 back to 0, so the last symbol cycles 0 -> i01 -> 0
+    monkeypatch.setitem(rules._LAST_APPS, "i01", [RuleApplication("1b", 1, "0")])
+    with pytest.raises(RuleError) as refused:
+        counting_path(3)
+    assert str(refused.value) == "counting path exceeded its budget; construction broken"

@@ -70,6 +70,20 @@ def test_evaluate_rejects_bad_assignments():
         inst.evaluate((0, 1, 0, 2))
 
 
+def test_instance_refusals_name_what_is_wrong():
+    pairs = instance_to_obj(make_pairs_instance(2, 3))
+    for build, message in (
+        (lambda: VcspInstance((), ()), "instance needs at least one variable"),
+        (lambda: VcspInstance((2,), (SoftConstraint((), 1, (0,)),)),
+         "constraint scope must be non-empty"),
+        (lambda: instance_from_obj(dict(pairs, format="winding-landscape/v1")),
+         "not a vcsp-instance/v1 document"),
+    ):
+        with pytest.raises(VcspError) as refused:
+            build()
+        assert str(refused.value) == message
+
+
 def test_delta_noop_and_pairs_example():
     landscape = VcspLandscape(make_pairs_instance(2, 3))
     assert landscape.delta((0, 0), (0, 0)) == 0

@@ -66,6 +66,24 @@ def test_schedule_validation():
     StepSchedule.root2path(8)
 
 
+def test_refusals_name_what_is_wrong():
+    landscape = WindingLandscape(3)
+    for build, message in (
+        (lambda: StepSchedule((), ()), "schedule needs equal-length, non-empty step sequences"),
+        (lambda: StepSchedule((2, 3), (1,)),
+         "schedule needs equal-length, non-empty step sequences"),
+        (lambda: WindingLandscape(3, StepSchedule.semismooth(2)),
+         "schedule has 2 levels, landscape needs 3"),
+        (lambda: landscape.peak_state(0), "k must be in 1..3"),
+        (lambda: landscape.peak_gradient_expected(4), "k must be in 1..3"),
+        (lambda: winding_from_obj(dict(winding_to_obj(landscape), format="vcsp-instance/v1")),
+         "not a winding-landscape/v1 document"),
+    ):
+        with pytest.raises(WindingError) as refused:
+            build()
+        assert str(refused.value) == message
+
+
 def test_landscape_refuses_a_level_count_that_is_not_an_exact_integer():
     for n in (True, 1.0, 2.0, "1", None):
         with pytest.raises(WindingError, match="exact integer"):
@@ -243,8 +261,8 @@ def test_a_corrupted_memo_entry_is_caught_by_the_equality_check():
     assert memo_mismatches(landscape, states) == []
     highs = landscape._highs
     key = next(iter(highs))
-    side, a, r, cs, es = entry = highs[key]
-    highs[key] = (side, a, r, (cs[0] + 1,) + cs[1:], es)
+    side, a, cs, es = entry = highs[key]
+    highs[key] = (side, a, (cs[0] + 1,) + cs[1:], es)
     assert memo_mismatches(landscape, states)
     highs[key] = entry
 
