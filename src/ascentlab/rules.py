@@ -31,6 +31,7 @@ rather than picking silently.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -163,8 +164,16 @@ def rule_successor(state: tuple[str, ...]):
 
 
 def _successor(state, candidates):
-    """``rule_successor`` of ``state`` given its ``applicable_rules``; a
-    lone candidate is the successor without a priority pass."""
+    """``rule_successor`` of ``state`` given its ``applicable_rules``."""
+    chosen = _choose(state, candidates)
+    return None if chosen is None else (chosen.apply(state), chosen)
+
+
+def _choose(state, candidates):
+    """The one highest-priority application among ``candidates``, the rule
+    applications of ``state`` in any order, or None when there is none.  A
+    lone candidate is chosen without a priority pass; several maximal ones
+    raise AmbiguousPriorityError, listed in the candidates' order."""
     if len(candidates) > 1:
         groups = [RULES[c.rule_id].group for c in candidates]
         candidates = [
@@ -175,8 +184,24 @@ def _successor(state, candidates):
             raise AmbiguousPriorityError(state, [(c.rule_id, c.variable) for c in candidates])
     elif not candidates:
         return None
-    chosen = candidates[0]
-    return chosen.apply(state), chosen
+    return candidates[0]
+
+
+def _rewriting(state, pos, pair_apps):
+    """The applications of ``applicable_rules(state)`` that rewrite position
+    ``pos``, given ``pair_apps = _pair_apps(len(state))``: read from the
+    pair above it, the pair below it and, at X_1, the last symbol with its
+    X_2 guard; so from positions pos - 1, pos and pos + 1 alone."""
+    n = len(state)
+    variable = n - pos
+    out = []
+    if pos:
+        out += pair_apps[pos - 1].get(state[pos - 1:pos + 1], ())
+    if pos + 1 < n:
+        out += pair_apps[pos].get(state[pos:pos + 2], ())
+    elif n == 1 or state[n - 2] in ("0", "1"):
+        out += _LAST_APPS.get(state[pos], ())
+    return [app for app in out if app.variable == variable]
 
 
 def counting_path(n: int) -> list[tuple[str, ...]]:
@@ -454,17 +479,62 @@ def verify_cpp_closure(n: int, landscape: SymbolCountingLandscape | None = None)
     return rep
 
 
+# The lockstep takes R(N) steps, about 7.5 us each on a 2-core host with
+# Python 3.11: 8 * 10^6 admits N = 21 (7,339,944 steps, 55 s) and refuses
+# N = 22 (14,679,972 steps)
+LOCKSTEP_MAX_STEPS = 8 * 10 ** 6
+
+
+def lockstep_steps(n: int) -> int:
+    """R(N), the steps of the counting path from 0^N to 01^(N-1)."""
+    return 7 * 2 ** (n - 1) - 4 * n - 4
+
+
+def check_lockstep_size(n: int) -> None:
+    """Refuse a lockstep whose path to 01^(N-1) is over LOCKSTEP_MAX_STEPS."""
+    if lockstep_steps(n) > LOCKSTEP_MAX_STEPS:
+        raise ValueError(f"the lockstep at N={n} takes {lockstep_steps(n)} steps, "
+                         f"over the cap {LOCKSTEP_MAX_STEPS}")
+
+
+def _window_runs(table, n: int):
+    """Per neighbourhood run of ``table``: the getter of its key positions,
+    its memo, its positions and its index in ``table.improving``; and per
+    position, the runs whose key holds it.  A run's key positions are its
+    ``affected`` neighbourhood and the rule windows p - 1..p + 1 of its
+    positions p."""
+    keys = [set() for _ in table.improving]
+    for pos, index in enumerate(table.run_of):
+        keys[index].update(table.landscape.affected(pos) or range(n),
+                           range(max(pos - 1, 0), min(pos + 2, n)))
+    runs = [(operator.itemgetter(*sorted(key)), {},
+             [pos for pos, r in enumerate(table.run_of) if r == index], index)
+            for index, key in enumerate(keys)]
+    return runs, [[run for run, key in zip(runs, keys) if pos in key] for pos in range(n)]
+
+
 def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
                                  landscape: SymbolCountingLandscape | None = None) -> Report:
     """Lockstep oracle: from ``start`` (default 0^N), steepest ascent under
     fail-on-tie and the prioritized rules must produce the same state
     sequence up to the counting path's endpoint 01^(N-1), with the improving
     flips at every visited state exactly the guard-matching transitions.
-    Both the move and the improving flips (the table's improving entries)
-    come from the move table of steepest ascent's own walk, which after each
-    step recomputes only the deltas near the flipped position.
-    A tie or an ambiguous priority is reported as a failed check; a
-    ``budget`` that is not a non-negative int is refused."""
+
+    The check is made per window.  Steepest ascent's own move table keeps
+    the improving moves per neighbourhood run; a run passes when they equal
+    the moves of the rules that rewrite its positions.  That verdict depends
+    only on the values at the run's ``affected`` neighbourhood and at its
+    rule windows (p - 1, p and p + 1 for each position p; X_1's rules read
+    X_2, which is its p - 1), so it is memoised under them, with the run's
+    rule applications, in a memo of this call; after each step only the
+    runs whose key holds the flipped position are checked again.  The
+    rules' prioritized choice among the runs' applications is compared
+    with the move the walk took.  A failed verdict, a halt, a tie or an
+    ambiguous priority is reported as a failed check, in terms of the whole
+    state's sets as ``applicable_rules`` gives them.  A ``budget`` that is
+    not a non-negative int is refused, and so is an N whose path to
+    01^(N-1) is over LOCKSTEP_MAX_STEPS, before any step."""
+    check_lockstep_size(n)
     if landscape is None:
         landscape = SymbolCountingLandscape(n)
     if budget is None:
@@ -477,40 +547,57 @@ def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
     steps = 0
     table = _MoveTable(landscape, state)
     walk = _walk(table, functools.partial(_steepest, FAIL_ON_TIE))
+    size = len(state)
+    pair_apps = _pair_apps(size)
+    stale, stale_by_position = _window_runs(table, size)
+    apps = [()] * len(stale)  # per run: the rule applications at its positions
     while state != end:
-        improving = {m for m, _ in table.improving_entries()}
-        candidates = applicable_rules(state)
-        by_rule = {(len(state) - app.variable, app.new_symbol) for app in candidates}
-        if improving != by_rule:
-            rep.add(
-                "lockstep", False,
-                f"improving flips differ from rules at {format_symbol_state(state)} "
-                f"(step {steps}): improving-only={sorted(improving - by_rule)} "
-                f"rule-only={sorted(by_rule - improving)}")
-            return rep
-        if not improving:
+        for values, memo, positions, index in stale:
+            key = values(state)
+            hit = memo.get(key)
+            if hit is None:
+                hit = [app for pos in positions for app in _rewriting(state, pos, pair_apps)]
+                if ({(size - app.variable, app.new_symbol) for app in hit}
+                        != {move for move, _ in table.improving[index]}):
+                    improving = {move for move, _ in table.improving_entries()}
+                    by_rule = {(size - app.variable, app.new_symbol)
+                               for app in applicable_rules(state)}
+                    rep.add(
+                        "lockstep", False,
+                        f"improving flips differ from rules at {format_symbol_state(state)} "
+                        f"(step {steps}): improving-only={sorted(improving - by_rule)} "
+                        f"rule-only={sorted(by_rule - improving)}")
+                    return rep
+                memo[key] = hit  # only a passing verdict is stored
+            apps[index] = hit
+        candidates = list(itertools.chain.from_iterable(apps))
+        if not candidates:
             rep.add("lockstep", False,
                     f"steepest ascent halts at {format_symbol_state(state)} (step {steps})")
             return rep
         try:
-            next(walk)
-            successor = _successor(state, candidates)
+            move, _ = next(walk)
+            try:
+                chosen = _choose(state, candidates)
+            except AmbiguousPriorityError:  # raised again, in applicable_rules' order
+                _choose(state, applicable_rules(state))
+                raise
         except (TieError, AmbiguousPriorityError) as exc:
             rep.add("lockstep", False, f"{exc} (step {steps})")
             return rep
-        by_steepest = table.state
-        if successor is None or successor[0] != by_steepest:
-            got = "halt" if successor is None else format_symbol_state(successor[0])
+        if (size - chosen.variable, chosen.new_symbol) != move:
             rep.add(
                 "lockstep", False,
                 f"divergence at step {steps}, state {format_symbol_state(state)}: "
-                f"steepest -> {format_symbol_state(by_steepest)}, rules -> {got}")
+                f"steepest -> {format_symbol_state(table.state)}, "
+                f"rules -> {format_symbol_state(chosen.apply(state))}")
             return rep
-        state = by_steepest
+        state = table.state
         steps += 1
         if steps > budget:
             rep.add("lockstep", False, f"budget {budget} exhausted before 01^(N-1)")
             return rep
+        stale = stale_by_position[move[0]]
     rep.add("lockstep", True,
             f"{steps} identical steps from start to 01^(N-1), no tie, no ambiguity")
     return rep

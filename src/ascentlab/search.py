@@ -182,17 +182,19 @@ class _MoveTable:
         if not self.local:
             improving[0] = _improving(landscape._rescan(state, None))
             return
-        misses, missed = [], []
+        missed = ()  # the two lists are built on the first miss only
         for values, memo, variables, index in self._plans[move[0]]:
             key = values(state)
             hit = memo.get(key)
             if hit is None:
+                if not missed:
+                    misses, missed = [], []
                 misses += variables
                 missed.append((memo, key, index))
                 improving[index] = []  # filled by the rescan below
             else:
                 improving[index] = hit
-        if misses:
+        if missed:
             self._install(landscape._rescan(state, misses), missed)
 
 
@@ -216,9 +218,10 @@ def _ascend(landscape: Landscape, start, choose, max_steps: int) -> AscentTrace:
     fitness = landscape.evaluate(state)
     steps = [TraceStep(state, fitness, None, 0)]
     table = _MoveTable(landscape, state)
+    record = tuple.__new__  # a TraceStep from one tuple, with no Python-level call
     for move, delta in itertools.islice(_walk(table, choose), max_steps):
         fitness += delta
-        steps.append(TraceStep(table.state, fitness, move, delta))
+        steps.append(record(TraceStep, (table.state, fitness, move, delta)))
     # the walk stops at a local maximum or is cut by the budget, possibly
     # at the top already: the table tells which
     improving = any(table.improving)

@@ -87,10 +87,10 @@ def test_closure_and_rule_coverage_exhaustive():
 
 
 def test_lockstep_steepest_equals_rules():
-    # identical sequences from 0^N for N = 2..10 under fail-on-tie, within
+    # identical sequences from 0^N for N = 2..12 under fail-on-tie, within
     # a 2^(N+4) budget; no tie and no priority ambiguity ever fires.  The
     # path to 01^(N-1) takes R(N) = 7*2^(N-1) - 4N - 4 steps (a measured fit)
-    for n in range(2, 11):
+    for n in range(2, 13):
         report = verify_steepest_equals_rules(n, budget=2 ** (n + 4))
         assert report.passed, "\n".join(report.lines())
         steps = 7 * 2 ** (n - 1) - 4 * n - 4

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ascentlab import cli, rules
 from ascentlab.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -578,6 +579,8 @@ def test_an_option_the_command_does_not_read_is_refused(argv, tmp_path, capsys):
     (["gen", "winding", "--n", "3", "--s-plus", "2,3,5"],
      "--s-plus and --s-minus must be given together"),
     (["analyze", "gradient", "--n", "3", "--at", "peak:0"], "k must be in 1..3"),
+    (["verify", "all", "--n", "30"],
+     "the lockstep at N=30 takes 3758096260 steps, over the cap 8000000"),
 ])
 def test_a_refusal_is_one_error_line(argv, message, capsys):
     argv = [arg.replace("{data}", str(GOLDEN)) for arg in argv]
@@ -585,6 +588,29 @@ def test_a_refusal_is_one_error_line(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1 and message in captured.err
+
+
+@pytest.mark.parametrize("suite", ["lockstep", "all"])
+def test_verify_runs_the_largest_lockstep_under_its_cap_and_refuses_the_next(
+        suite, monkeypatch, capsys):
+    monkeypatch.setattr(rules, "LOCKSTEP_MAX_STEPS", rules.lockstep_steps(5))
+    assert main(["verify", suite, "--n", "5"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("result: PASS\n")
+    assert main(["verify", suite, "--n", "6"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the lockstep at N=6 takes 196 steps, over the cap 88\n"
+
+
+def test_scaling_runs_the_largest_max_n_under_its_cap_and_refuses_the_next(
+        monkeypatch, capsys):
+    monkeypatch.setattr(cli, "SCALING_MAX_N", 3)
+    assert main(["analyze", "scaling", "--max-n", "3"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "3\t6\t14\t14"
+    assert main(["analyze", "scaling", "--max-n", "4"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scaling to --max-n 4 is over the cap 3\n"
 
 
 def test_census_writes_its_lines_to_out_and_prints_nothing(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import random
@@ -10,7 +11,14 @@ from collections import Counter, deque
 import pytest
 
 from ascentlab import counting, rules
-from ascentlab.counting import F_NONZERO, SymbolCountingLandscape, zero_state
+from ascentlab.counting import (
+    F_NONZERO,
+    SymbolCountingLandscape,
+    count_end_state,
+    make_counting_symbol_instance,
+    zero_state,
+)
+from ascentlab.report import Report
 from ascentlab.rules import (
     AmbiguousPriorityError,
     INTERMEDIATE_FAMILIES,
@@ -24,9 +32,12 @@ from ascentlab.rules import (
     rule_successor,
     verify_cpp_closure,
     verify_rule_arithmetic,
+    lockstep_steps,
     verify_steepest_equals_rules,
 )
-from ascentlab.symbols import SYMBOLS
+from ascentlab.search import FAIL_ON_TIE, TieError, _MoveTable, _steepest, _walk
+from ascentlab.symbols import SYMBOLS, format_symbol_state
+from ascentlab.vcsp import VcspInstance
 
 
 def S(text: str) -> tuple[str, ...]:
@@ -571,3 +582,158 @@ def test_counting_path_stops_rules_that_cycle_at_its_budget(monkeypatch):
     with pytest.raises(RuleError) as refused:
         counting_path(3)
     assert str(refused.value) == "counting path exceeded its budget; construction broken"
+
+
+def test_lockstep_refuses_an_n_over_its_cap_before_any_step(monkeypatch):
+    monkeypatch.setattr(rules, "LOCKSTEP_MAX_STEPS", lockstep_steps(5))
+    assert verify_steepest_equals_rules(5).passed
+
+    def no_table(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(rules, "_MoveTable", no_table)
+    with pytest.raises(ValueError) as refused:
+        verify_steepest_equals_rules(6)
+    assert str(refused.value) == "the lockstep at N=6 takes 196 steps, over the cap 88"
+
+
+# -- the whole-state lockstep, kept as the per-window lockstep's oracle -------
+
+def lockstep_by_whole_state(n, start=None, budget=None, landscape=None):
+    """``verify_steepest_equals_rules`` as it was before its per-window
+    check: at every step, the whole state's improving flips against all of
+    ``applicable_rules``, and the rules' successor state against steepest
+    ascent's."""
+    if landscape is None:
+        landscape = SymbolCountingLandscape(n)
+    if budget is None:
+        budget = 2 ** (n + 4)
+    state = zero_state(n) if start is None else tuple(start)
+    end = count_end_state(n)
+    rep = Report(f"steepest-ascent / rule lockstep, N={n}")
+    steps = 0
+    table = _MoveTable(landscape, state)
+    walk = _walk(table, functools.partial(_steepest, FAIL_ON_TIE))
+    while state != end:
+        improving = {m for m, _ in table.improving_entries()}
+        candidates = applicable_rules(state)
+        by_rule = {(len(state) - app.variable, app.new_symbol) for app in candidates}
+        if improving != by_rule:
+            rep.add(
+                "lockstep", False,
+                f"improving flips differ from rules at {format_symbol_state(state)} "
+                f"(step {steps}): improving-only={sorted(improving - by_rule)} "
+                f"rule-only={sorted(by_rule - improving)}")
+            return rep
+        if not improving:
+            rep.add("lockstep", False,
+                    f"steepest ascent halts at {format_symbol_state(state)} (step {steps})")
+            return rep
+        try:
+            next(walk)
+            successor = rules._successor(state, candidates)
+        except (TieError, AmbiguousPriorityError) as exc:
+            rep.add("lockstep", False, f"{exc} (step {steps})")
+            return rep
+        by_steepest = table.state
+        if successor is None or successor[0] != by_steepest:
+            got = "halt" if successor is None else format_symbol_state(successor[0])
+            rep.add(
+                "lockstep", False,
+                f"divergence at step {steps}, state {format_symbol_state(state)}: "
+                f"steepest -> {format_symbol_state(by_steepest)}, rules -> {got}")
+            return rep
+        state = by_steepest
+        steps += 1
+        if steps > budget:
+            rep.add("lockstep", False, f"budget {budget} exhausted before 01^(N-1)")
+            return rep
+    rep.add("lockstep", True,
+            f"{steps} identical steps from start to 01^(N-1), no tie, no ambiguity")
+    return rep
+
+
+def assert_same_lockstep(n, **kwargs):
+    """The per-window and the whole-state lockstep print the same report."""
+    lines = verify_steepest_equals_rules(n, **kwargs).lines()
+    assert lines == lockstep_by_whole_state(n, **kwargs).lines(), (n, kwargs)
+    return lines
+
+
+# the pair-table edits of ROADMAP item 1, each of which some check must see
+MUTATIONS = [(("C", "0"), 12), (("X", "iC0"), 11), (("i1C", "C"), 0), (("0", "1"), 5)]
+STARTS = ["1 C 1 C", "0 0 X", "0 X 0 0", "0 0 0 1 1 1 1"]
+
+
+def test_per_window_lockstep_prints_the_whole_state_report():
+    for n in range(2, 10):  # the shipped tables
+        assert assert_same_lockstep(n)[-1] == "result: PASS"
+    verdicts = []
+    for pair, value in MUTATIONS:
+        f_table = {**F_NONZERO, pair: value}
+        for n in range(3, 7):
+            lines = assert_same_lockstep(n, landscape=SymbolCountingLandscape(n, f_table=f_table))
+            verdicts.append(lines[-1])
+    assert "result: FAIL" in verdicts  # each mutation fails somewhere
+    for text in STARTS:
+        state = S(text)
+        assert_same_lockstep(len(state), start=state)
+    assert_same_lockstep(4, budget=3)
+
+
+@pytest.mark.parametrize("beats", [lambda g1, g2: g1 == 1, lambda g1, g2: False,
+                                   lambda g1, g2: g1 > g2], ids=["group-1-wins", "none", "higher"])
+def test_per_window_lockstep_prints_the_whole_state_report_under_another_priority(
+        beats, monkeypatch):
+    monkeypatch.setattr(rules, "_beats", beats)
+    failed = 0
+    for n in range(2, 7):
+        failed += assert_same_lockstep(n)[-1] == "result: FAIL"
+    for text in STARTS:
+        state = S(text)
+        failed += assert_same_lockstep(len(state), start=state)[-1] == "result: FAIL"
+    assert failed
+
+
+def narrowed_instance(n, keep):
+    """The counting instance with only the pair constraints on (X_{i+1}, X_i)
+    for which ``keep(i)``, and the trigger only if ``keep(0)``: scopes
+    narrower than the rule windows."""
+    *pairs, trigger = make_counting_symbol_instance(n).constraints
+    return VcspInstance((len(SYMBOLS),) * n, tuple(
+        [c for c in pairs if keep(c.scope[0])] + ([trigger] if keep(0) else [])))
+
+
+def test_the_memo_key_holds_the_rule_windows_where_scopes_are_narrower():
+    # Dropped constraints make some neighbourhoods narrower than the rule
+    # windows, so a key of the neighbourhood alone would reinstall a verdict
+    # made under other rules: at <0 X iC0 C> with the pair (X_3, X_2)
+    # dropped, such a key let the mismatch at step 1 pass, and the report
+    # named step 6 instead.
+    for n in (3, 4):
+        starts = [s for s in itertools.product(SYMBOLS, repeat=n) if classify(s).admissible]
+        # no trigger, odd pairs only, even pairs only, no top pair
+        for keep in (lambda i: i != 0, lambda i: i % 2 == 1, lambda i: i % 2 == 0,
+                     lambda i: i != n - 1):
+            landscape = SymbolCountingLandscape.of_instance(narrowed_instance(n, keep))
+            for start in starts:
+                assert_same_lockstep(n, start=start, landscape=landscape)
+    landscape = SymbolCountingLandscape.of_instance(narrowed_instance(4, lambda i: i % 2))
+    assert assert_same_lockstep(4, start=S("0 X iC0 C"), landscape=landscape)[1] == (
+        "[FAIL] lockstep: improving flips differ from rules at 0 X 0 C (step 1): "
+        "improving-only=[] rule-only=[(1, 'iX1')]")
+
+
+def test_lockstep_calls_keep_no_state_between_them():
+    # a call on a corrupted table and one on the shipped table, in either
+    # order and again, give the reports each gives alone
+    f_table = {**F_NONZERO, ("C", "0"): 12}
+    corrupted = verify_steepest_equals_rules(5, landscape=SymbolCountingLandscape(5, f_table))
+    shipped = verify_steepest_equals_rules(5)
+    assert not corrupted.passed and shipped.passed
+    for _ in range(2):
+        assert verify_steepest_equals_rules(
+            5, landscape=SymbolCountingLandscape(5, f_table)).lines() == corrupted.lines()
+        assert verify_steepest_equals_rules(5).lines() == shipped.lines()
+    assert corrupted.lines() == lockstep_by_whole_state(
+        5, landscape=SymbolCountingLandscape(5, f_table)).lines()
