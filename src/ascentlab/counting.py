@@ -33,9 +33,9 @@ from functools import cached_property
 from .landscapes import Landscape
 from .symbols import (
     ADJACENT_SYMBOLS,
+    CODE_TO_SYMBOL,
     SYMBOL_INDEX,
     SYMBOLS,
-    decode_block,
     format_symbol_state,
 )
 from .vcsp import SoftConstraint, VcspError, VcspInstance
@@ -103,7 +103,8 @@ def make_counting_symbol_instance(n: int, f_table=None, h_table=None) -> VcspIns
 
 
 # Per 4-bit pattern, its symbol's value index; None for non-symbols.
-_BLOCKS = [SYMBOL_INDEX.get(decode_block(bits)) for bits in itertools.product((0, 1), repeat=4)]
+_BLOCKS = [SYMBOL_INDEX.get(CODE_TO_SYMBOL.get(bits))
+           for bits in itertools.product((0, 1), repeat=4)]
 # Reads an arity-8 table's entries, per pair of 4-bit patterns, from a symbol
 # pair table with a 0 appended: the entry of the pair's symbols, or the 0
 # when either pattern is not a symbol.

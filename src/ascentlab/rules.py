@@ -134,21 +134,35 @@ def applicable_rules(state: tuple[str, ...]) -> list[RuleApplication]:
     Matching is purely syntactic.  (Family-level applicability tables,
     which describe whole pattern families at once, are unions of these
     per-state match sets over the family's members.)  The applications are
-    prebuilt, by X_1 and per pair position by guard, and sorted only when
-    more than one matches.
+    read position by position with ``_rewriting`` and sorted only when more
+    than one matches.
     """
-    n = len(state)
-    # the X_2 guard of rule groups 1-2; vacuous for a lone variable
-    out = list(_LAST_APPS.get(state[n - 1], ())) if n == 1 or state[n - 2] in ("0", "1") else []
-    for apps in filter(None, map(dict.get, _pair_apps(n), zip(state, state[1:]))):
-        out += apps
+    pair_apps = _pair_apps(len(state))
+    out = [app for pos in range(len(state)) for app in _rewriting(state, pos, pair_apps)]
     if len(out) > 1:
         out.sort(key=_ORDER)
     return out
 
 
-def _beats(g1: int, g2: int) -> bool:
-    return g2 in (1, 2) and g1 in (3, 4, 5, 6, 7) or g1 == 5 and g2 in (3, 4)
+def _rewriting(state, pos, pair_apps):
+    """The applications of the rules that rewrite position ``pos`` of
+    ``state``, given ``pair_apps = _pair_apps(len(state))``: read from the
+    pair above it, the pair below it and, at X_1, the last symbol with its
+    X_2 guard; so from positions pos - 1, pos and pos + 1 alone."""
+    n = len(state)
+    variable = n - pos
+    out = []
+    if pos:
+        out += pair_apps[pos - 1].get(state[pos - 1:pos + 1], ())
+    if pos + 1 < n:
+        out += pair_apps[pos].get(state[pos:pos + 2], ())
+    elif n == 1 or state[n - 2] in ("0", "1"):  # the X_2 guard of rule groups 1-2
+        out += _LAST_APPS.get(state[pos], ())
+    return [app for app in out if app.variable == variable]
+
+
+# Each rule group and the groups it beats
+_BEATEN = {1: (), 2: (), 3: (1, 2), 4: (1, 2), 5: (1, 2, 3, 4), 6: (1, 2), 7: (1, 2)}
 
 
 def rule_successor(state: tuple[str, ...]):
@@ -160,48 +174,24 @@ def rule_successor(state: tuple[str, ...]):
     reachable from the all-zero state, and the oracles prove it rather than
     assume it.
     """
-    return _successor(state, applicable_rules(state))
-
-
-def _successor(state, candidates):
-    """``rule_successor`` of ``state`` given its ``applicable_rules``."""
-    chosen = _choose(state, candidates)
+    chosen = _choose(state, applicable_rules(state))
     return None if chosen is None else (chosen.apply(state), chosen)
 
 
 def _choose(state, candidates):
     """The one highest-priority application among ``candidates``, the rule
-    applications of ``state`` in any order, or None when there is none.  A
-    lone candidate is chosen without a priority pass; several maximal ones
+    applications of ``state``, or None when there is none.  A lone
+    candidate is chosen without a priority pass; several unbeaten ones
     raise AmbiguousPriorityError, listed in the candidates' order."""
     if len(candidates) > 1:
         groups = [RULES[c.rule_id].group for c in candidates]
-        candidates = [
-            c for c, g in zip(candidates, groups)
-            if not any(_beats(h, g) for h in groups if h != g)
-        ]
+        beaten = {h for g in groups for h in _BEATEN[g]}
+        candidates = [c for c, g in zip(candidates, groups) if g not in beaten]
         if len(candidates) != 1:
             raise AmbiguousPriorityError(state, [(c.rule_id, c.variable) for c in candidates])
     elif not candidates:
         return None
     return candidates[0]
-
-
-def _rewriting(state, pos, pair_apps):
-    """The applications of ``applicable_rules(state)`` that rewrite position
-    ``pos``, given ``pair_apps = _pair_apps(len(state))``: read from the
-    pair above it, the pair below it and, at X_1, the last symbol with its
-    X_2 guard; so from positions pos - 1, pos and pos + 1 alone."""
-    n = len(state)
-    variable = n - pos
-    out = []
-    if pos:
-        out += pair_apps[pos - 1].get(state[pos - 1:pos + 1], ())
-    if pos + 1 < n:
-        out += pair_apps[pos].get(state[pos:pos + 2], ())
-    elif n == 1 or state[n - 2] in ("0", "1"):
-        out += _LAST_APPS.get(state[pos], ())
-    return [app for app in out if app.variable == variable]
 
 
 def counting_path(n: int) -> list[tuple[str, ...]]:
@@ -528,10 +518,11 @@ def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
     X_2, which is its p - 1), so it is memoised under them, with the run's
     rule applications, in a memo of this call; after each step only the
     runs whose key holds the flipped position are checked again.  The
-    rules' prioritized choice among the runs' applications is compared
-    with the move the walk took.  A failed verdict, a halt, a tie or an
-    ambiguous priority is reported as a failed check, in terms of the whole
-    state's sets as ``applicable_rules`` gives them.  A ``budget`` that is
+    rules' prioritized choice among the runs' applications, taken in
+    ``applicable_rules``' order, is compared with the move the walk took.
+    A failed verdict, a halt, a tie or an ambiguous priority is reported as
+    a failed check, in terms of the whole state's sets as
+    ``applicable_rules`` gives them.  A ``budget`` that is
     not a non-negative int is refused, and so is an N whose path to
     01^(N-1) is over LOCKSTEP_MAX_STEPS, before any step."""
     check_lockstep_size(n)
@@ -556,7 +547,8 @@ def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
             key = values(state)
             hit = memo.get(key)
             if hit is None:
-                hit = [app for pos in positions for app in _rewriting(state, pos, pair_apps)]
+                hit = sorted((app for pos in positions
+                              for app in _rewriting(state, pos, pair_apps)), key=_ORDER)
                 if ({(size - app.variable, app.new_symbol) for app in hit}
                         != {move for move, _ in table.improving[index]}):
                     improving = {move for move, _ in table.improving_entries()}
@@ -570,18 +562,15 @@ def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
                     return rep
                 memo[key] = hit  # only a passing verdict is stored
             apps[index] = hit
-        candidates = list(itertools.chain.from_iterable(apps))
+        # runs from the highest position down: applicable_rules' order
+        candidates = list(itertools.chain.from_iterable(reversed(apps)))
         if not candidates:
             rep.add("lockstep", False,
                     f"steepest ascent halts at {format_symbol_state(state)} (step {steps})")
             return rep
         try:
             move, _ = next(walk)
-            try:
-                chosen = _choose(state, candidates)
-            except AmbiguousPriorityError:  # raised again, in applicable_rules' order
-                _choose(state, applicable_rules(state))
-                raise
+            chosen = _choose(state, candidates)
         except (TieError, AmbiguousPriorityError) as exc:
             rep.add("lockstep", False, f"{exc} (step {steps})")
             return rep

@@ -33,15 +33,6 @@ CODES = {
 }
 CODE_TO_SYMBOL = {code: s for s, code in CODES.items()}
 
-INTERMEDIATE_PAIR = {
-    "i01": ("0", "1"),
-    "iC0": ("C", "0"),
-    "i0X": ("0", "X"),
-    "i1C": ("1", "C"),
-    "iX1": ("X", "1"),
-    "iCX": ("C", "X"),
-}
-
 
 def _hamming(a, b) -> int:
     return sum(x != y for x, y in zip(a, b))
@@ -71,11 +62,6 @@ def encode_state(state: tuple[str, ...]) -> tuple[int, ...]:
     for i in range(1, n + 1):
         bits.extend(CODES[state[n - i]])
     return tuple(bits)
-
-
-def decode_block(block: tuple[int, ...]) -> str | None:
-    """4-bit block -> symbol, or None for the 6 non-symbol patterns."""
-    return CODE_TO_SYMBOL.get(tuple(block))
 
 
 def decode_bits(bits: tuple[int, ...]) -> tuple[str | None, ...]:

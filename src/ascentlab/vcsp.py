@@ -13,7 +13,6 @@ Instances and constraints are frozen; every operation is a pure function.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -238,15 +237,4 @@ def instance_from_obj(obj: dict) -> VcspInstance:
     if type(metadata) is not dict:
         raise VcspError(f"metadata must be an object, got {metadata!r}")
     return VcspInstance(domains, tuple(built), metadata)
-
-
-def dump_instance(instance: VcspInstance, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_obj(instance), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_instance(path) -> VcspInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_obj(json.load(fh))
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
-from ascentlab.vcsp import SoftConstraint, VcspInstance
+from ascentlab.vcsp import SoftConstraint, VcspInstance, instance_from_obj, instance_to_obj
 
 _acceptance_results: list[tuple[str, bool]] = []
 
@@ -41,3 +43,14 @@ def random_instance(rng: random.Random, num_vars=6, max_domain=4,
 
 def random_assignment(rng: random.Random, instance: VcspInstance):
     return tuple(rng.randrange(d) for d in instance.domains)
+
+
+def dump_instance(instance: VcspInstance, path) -> None:
+    """Write ``instance`` to ``path`` with the bytes ``ascentlab gen -o`` writes."""
+    Path(path).write_text(json.dumps(instance_to_obj(instance), indent=1, sort_keys=True) + "\n",
+                          encoding="utf-8")
+
+
+def load_instance(path) -> VcspInstance:
+    """The instance of the document at ``path``."""
+    return instance_from_obj(json.loads(Path(path).read_text(encoding="utf-8")))

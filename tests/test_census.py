@@ -17,10 +17,10 @@ from ascentlab.counting import F_NONZERO, H_NONZERO, SymbolCountingLandscape
 from ascentlab.landscapes import VcspLandscape, make_pairs_instance
 from ascentlab.search import first_improvement_ascent, steepest_ascent
 from ascentlab.symbols import SYMBOLS
-from ascentlab.vcsp import VcspError, VcspInstance, dump_instance
+from ascentlab.vcsp import VcspError, VcspInstance
 from ascentlab.winding import SCHEDULE_PRESETS, WindingLandscape
 
-from conftest import random_instance
+from conftest import dump_instance, random_instance
 
 
 def reference_census(landscape, keep_maxima=True) -> CensusResult:

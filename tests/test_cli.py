@@ -18,7 +18,9 @@ from ascentlab.cli import (
 )
 from ascentlab.counting import SymbolCountingLandscape, make_counting_boolean_instance
 from ascentlab.landscapes import make_pairs_instance
-from ascentlab.vcsp import instance_to_obj, load_instance
+from ascentlab.vcsp import instance_to_obj
+
+from conftest import dump_instance, load_instance
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "cli_golden"
@@ -40,6 +42,18 @@ def test_gen_counting_boolean_shape(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "variables=12" in text and "arities=[8]" in text
     assert load_instance(out) == make_counting_boolean_instance(3)
+
+
+@pytest.mark.parametrize("argv, instance", [
+    (["pairs", "--n", "6", "--alpha", "4"], make_pairs_instance(6, 4)),
+    (["counting-boolean", "--n", "3"], make_counting_boolean_instance(3)),
+], ids=["pairs", "counting-boolean"])
+def test_the_dump_helper_writes_the_bytes_gen_writes(argv, instance, tmp_path, capsys):
+    out, dumped = tmp_path / "gen.json", tmp_path / "dumped.json"
+    assert main(["gen", *argv, "-o", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    dump_instance(instance, dumped)
+    assert dumped.read_bytes() == out.read_bytes()
 
 
 def test_gen_invalid_params(tmp_path, capsys):

@@ -1,6 +1,8 @@
-"""Every module-level import of the library is used, and every module-level
-private name and every method of a private class is read somewhere in it:
-stdlib ``ast`` checks over ``src/ascentlab`` (the package ``__init__``
+"""Every module-level import of the library is used, every module-level
+private name and every method of a private class is read somewhere in it,
+every public module-level name is read by the library or the benchmark, and
+every package attribute the benchmark reads exists: stdlib ``ast`` checks
+over ``src/ascentlab`` and ``perfbench`` (the package ``__init__``
 re-exports by importing)."""
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from pathlib import Path
 import ascentlab
 
 PACKAGE = Path(ascentlab.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,6 +31,51 @@ def unused_imports(source: str) -> list[str]:
 
 def private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
+
+
+def module_level_names(tree: ast.Module) -> list[str]:
+    """The functions, classes and assigned names at the top of ``tree``."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return names
+
+
+def names_read(sources: list[str]) -> set[str]:
+    """Every name ``sources`` read: as a name, as an attribute, or imported
+    from a module."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return read
+
+
+def package_attributes_read(sources: list[str]) -> set[str]:
+    """The ``x`` of every ``ascentlab.x`` that ``sources`` read."""
+    return {node.attr for source in sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "ascentlab"}
+
+
+def unread_public_names(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.name`` for each public module-level name of ``modules`` (by
+    module name, without the package ``__init__``) that neither a module of
+    them nor a source of ``readers`` reads."""
+    read = names_read([*modules.values(), *readers])
+    return [f"{module}.{name}" for module, source in modules.items()
+            for name in module_level_names(ast.parse(source))
+            if not name.startswith("_") and name not in read]
 
 
 def unread_private_names(sources: list[str]) -> list[str]:
@@ -88,3 +136,34 @@ def test_check_finds_an_unread_private_name():
 def test_library_reads_every_private_name():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     assert unread_private_names(sources) == []
+
+
+def library_modules() -> dict[str, str]:
+    return {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))
+            if p.name != "__init__.py"}
+
+
+def perfbench_sources() -> list[str]:
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py"))]
+    assert sources
+    return sources
+
+
+def test_check_finds_an_unread_public_name():
+    modules = {"a": "X = 1\nY: int = 2\ndef f(): return X\nclass C: pass\n_p = 0\n",
+               "b": "from .a import f\nimport a\na.C\n"}
+    assert unread_public_names(modules, []) == ["a.Y"]
+    assert unread_public_names(modules, ["import ascentlab\nascentlab.Y\n"]) == []
+    assert package_attributes_read(["import ascentlab\nascentlab.f(ascentlab.a.C)\n"
+                                    "'ascentlab.g'\n"]) == {"f", "a"}
+
+
+def test_every_package_attribute_the_benchmark_reads_exists():
+    read = package_attributes_read(perfbench_sources())
+    assert read
+    assert sorted(name for name in read if not hasattr(ascentlab, name)) == []
+
+
+def test_every_public_name_is_read_by_the_library_or_the_benchmark():
+    # the package __init__ is no reader: a re-export alone keeps no name
+    assert unread_public_names(library_modules(), perfbench_sources()) == []

@@ -22,19 +22,29 @@ from ascentlab.counting import (
 from ascentlab.landscapes import VcspLandscape, make_pairs_instance
 from ascentlab.symbols import (
     ADJACENT_SYMBOLS,
+    CODE_TO_SYMBOL,
     CODES,
-    INTERMEDIATE_PAIR,
     INTERMEDIATE_SYMBOLS,
     MAIN_SYMBOLS,
     SYMBOLS,
     decode_bits,
-    decode_block,
     encode_state,
 )
-from ascentlab.vcsp import SoftConstraint, VcspError, VcspInstance, dump_instance
+from ascentlab.vcsp import SoftConstraint, VcspError, VcspInstance
 from ascentlab.winding import WindingLandscape
 
+from conftest import dump_instance
 from test_move_table import table_mismatch
+
+# Each intermediate symbol and the two main symbols it lies between
+INTERMEDIATE_PAIR = {
+    "i01": ("0", "1"),
+    "iC0": ("C", "0"),
+    "i0X": ("0", "X"),
+    "i1C": ("1", "C"),
+    "iX1": ("X", "1"),
+    "iCX": ("C", "X"),
+}
 
 
 # -- encoding ----------------------------------------------------------------
@@ -67,9 +77,9 @@ def test_main_to_main_needs_two_flips():
 def test_encode_decode_round_trip():
     assert encode_state(("0",)) == (1, 0, 0, 0)
     for s in SYMBOLS:
-        assert decode_block(CODES[s]) == s
-    assert decode_block((0, 0, 0, 0)) is None
-    assert decode_block((1, 1, 1, 0)) is None
+        assert CODE_TO_SYMBOL.get(CODES[s]) == s
+    assert CODE_TO_SYMBOL.get((0, 0, 0, 0)) is None
+    assert CODE_TO_SYMBOL.get((1, 1, 1, 0)) is None
     state = SymbolCountingLandscape(4).parse_state("0 X iC0 1")
     assert decode_bits(encode_state(state)) == state
 
@@ -80,7 +90,7 @@ def test_decode_bits_is_decode_block_per_block_in_display_order():
         for _ in range(40):
             # random bit vectors: most blocks are not symbol codes
             bits = tuple(rng.randint(0, 1) for _ in range(4 * n))
-            blocks = [decode_block(bits[4 * i: 4 * i + 4]) for i in range(n)]
+            blocks = [CODE_TO_SYMBOL.get(bits[4 * i: 4 * i + 4]) for i in range(n)]
             assert decode_bits(bits) == tuple(reversed(blocks))
     assert decode_bits((0,) * 8) == (None, None)
     for length in (1, 2, 3, 5, 7, 41):

@@ -37,7 +37,7 @@ from ascentlab.rules import (
 )
 from ascentlab.search import FAIL_ON_TIE, TieError, _MoveTable, _steepest, _walk
 from ascentlab.symbols import SYMBOLS, format_symbol_state
-from ascentlab.vcsp import VcspInstance
+from ascentlab.vcsp import SoftConstraint, VcspInstance
 
 
 def S(text: str) -> tuple[str, ...]:
@@ -285,13 +285,26 @@ def test_position_index_gives_the_per_pair_matches_in_order():
                 applicable_by_pairs(state)), state
 
 
+def paper_beats(g1: int, g2: int) -> bool:
+    """The paper's partial order on rule groups: each of groups 3..7 beats
+    groups 1 and 2, and group 5 beats 3 and 4."""
+    return g2 in (1, 2) and g1 in (3, 4, 5, 6, 7) or g1 == 5 and g2 in (3, 4)
+
+
+def beaten_table(beats):
+    """``rules._BEATEN`` for the order ``beats``: per group 1..7, the other
+    groups it beats."""
+    return {g: tuple(h for h in range(1, 8) if h != g and beats(g, h)) for g in range(1, 8)}
+
+
 def successor_by_priority(state, candidates):
-    """``_successor`` with its priority pass run on every candidate list."""
+    """``rule_successor`` with the paper's priority pass run on every
+    candidate list, comparing the groups pair by pair."""
     if not candidates:
         return None
     groups = [RULES[c.rule_id].group for c in candidates]
     maximal = [c for c, g in zip(candidates, groups)
-               if not any(rules._beats(h, g) for h in groups if h != g)]
+               if not any(paper_beats(h, g) for h in groups if h != g)]
     if len(maximal) != 1:
         raise AmbiguousPriorityError(state, [(c.rule_id, c.variable) for c in maximal])
     return maximal[0].apply(state), maximal[0]
@@ -303,9 +316,31 @@ def test_lone_candidate_successor_agrees_with_the_priority_pass():
         for state in counting_path(n):
             candidates = applicable_rules(state)
             lone += len(candidates) == 1
-            assert rules._successor(state, candidates) == successor_by_priority(
-                state, candidates), state
+            assert rule_successor(state) == successor_by_priority(state, candidates), state
     assert lone > 0
+
+
+def test_the_priority_table_is_the_papers_partial_order():
+    assert rules._BEATEN == beaten_table(paper_beats)
+
+
+def test_rule_successor_is_the_pairwise_priority_pass_on_every_small_state():
+    # every state for N <= 4, most of them off the counting path, where
+    # several candidates can stay unbeaten
+    ambiguous = 0
+    for n in range(1, 5):
+        for state in itertools.product(SYMBOLS, repeat=n):
+            candidates = applicable_rules(state)
+            try:
+                expected = successor_by_priority(state, candidates)
+            except AmbiguousPriorityError as exc:
+                ambiguous += 1
+                with pytest.raises(AmbiguousPriorityError) as raised:
+                    rule_successor(state)
+                assert raised.value.candidates == exc.candidates, state
+                continue
+            assert rule_successor(state) == expected, state
+    assert ambiguous > 0
 
 
 def test_lockstep_fails_when_one_position_of_the_index_drops_a_rule(monkeypatch):
@@ -537,7 +572,7 @@ def test_lockstep_reports_a_divergence_as_a_failure(monkeypatch):
     # at <0 X 0 0> rules 1a and 7a apply and steepest takes 7a; a priority
     # under which group 1 wins makes the rules take 1a
     assert verify_steepest_equals_rules(4, start=S("0 X 0 0")).passed
-    monkeypatch.setattr(rules, "_beats", lambda g1, g2: g1 == 1)
+    monkeypatch.setattr(rules, "_BEATEN", beaten_table(lambda g1, g2: g1 == 1))
     report = verify_steepest_equals_rules(4, start=S("0 X 0 0"))
     assert not report.passed
     assert report.lines()[1] == (
@@ -568,7 +603,7 @@ def test_cpp_closure_reports_a_rule_path_error_as_a_failure(monkeypatch):
     assert report.lines()[2] == f"[FAIL] {label}: rules halt at 0 0 0 before reaching stop"
     monkeypatch.undo()
     # a priority that never decides: two candidates stay (AmbiguousPriorityError)
-    monkeypatch.setattr(rules, "_beats", lambda g1, g2: False)
+    monkeypatch.setattr(rules, "_BEATEN", beaten_table(lambda g1, g2: False))
     report = verify_cpp_closure(4)
     assert not report.passed
     assert report.lines()[2] == (
@@ -631,7 +666,7 @@ def lockstep_by_whole_state(n, start=None, budget=None, landscape=None):
             return rep
         try:
             next(walk)
-            successor = rules._successor(state, candidates)
+            successor = rule_successor(state)
         except (TieError, AmbiguousPriorityError) as exc:
             rep.add("lockstep", False, f"{exc} (step {steps})")
             return rep
@@ -685,7 +720,7 @@ def test_per_window_lockstep_prints_the_whole_state_report():
                                    lambda g1, g2: g1 > g2], ids=["group-1-wins", "none", "higher"])
 def test_per_window_lockstep_prints_the_whole_state_report_under_another_priority(
         beats, monkeypatch):
-    monkeypatch.setattr(rules, "_beats", beats)
+    monkeypatch.setattr(rules, "_BEATEN", beaten_table(beats))
     failed = 0
     for n in range(2, 7):
         failed += assert_same_lockstep(n)[-1] == "result: FAIL"
@@ -722,6 +757,19 @@ def test_the_memo_key_holds_the_rule_windows_where_scopes_are_narrower():
     assert assert_same_lockstep(4, start=S("0 X iC0 C"), landscape=landscape)[1] == (
         "[FAIL] lockstep: improving flips differ from rules at 0 X 0 C (step 1): "
         "improving-only=[] rule-only=[(1, 'iX1')]")
+
+
+def test_a_run_of_several_positions_lists_an_ambiguity_in_applicable_rules_order():
+    # a zero table over every variable makes every neighbourhood every
+    # variable: the move table has one run, whose rules span positions 0..3
+    instance = make_counting_symbol_instance(4)
+    wide = VcspInstance(instance.domains, instance.constraints + (
+        SoftConstraint(tuple(range(4)), 1, (0,) * len(SYMBOLS) ** 4),))
+    landscape = SymbolCountingLandscape.of_instance(wide)
+    assert assert_same_lockstep(4, start=S("1 C 1 C"), landscape=landscape)[1] == (
+        "[FAIL] lockstep: priority does not single out a rule at 1 C 1 C: "
+        "[('3a', 2), ('3a', 4)] (step 0)")
+    assert assert_same_lockstep(4, landscape=landscape)[-1] == "result: PASS"
 
 
 def test_lockstep_calls_keep_no_state_between_them():

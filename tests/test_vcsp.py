@@ -19,13 +19,11 @@ from ascentlab.vcsp import (
     SoftConstraint,
     VcspError,
     VcspInstance,
-    dump_instance,
     instance_from_obj,
     instance_to_obj,
-    load_instance,
 )
 
-from conftest import random_assignment, random_instance
+from conftest import dump_instance, load_instance, random_assignment, random_instance
 
 
 def symbol_assignment(*symbols):
