@@ -86,18 +86,12 @@ def unread_private_names(sources: list[str]) -> list[str]:
     trees = [ast.parse(source) for source in sources]
     defined = []
     for tree in trees:
+        defined += filter(private, module_level_names(tree))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined += filter(private, [node.name])
-                if isinstance(node, ast.ClassDef):
-                    methods = [f.name for f in node.body if isinstance(f, ast.FunctionDef)
-                               and not f.name.startswith("__")]
-                    defined += methods if private(node.name) else filter(private, methods)
-            elif isinstance(node, ast.Assign):
-                defined += filter(private, [t.id for t in node.targets
-                                            if isinstance(t, ast.Name)])
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                defined += filter(private, [node.target.id])
+            if isinstance(node, ast.ClassDef):
+                methods = [f.name for f in node.body if isinstance(f, ast.FunctionDef)
+                           and not f.name.startswith("__")]
+                defined += methods if private(node.name) else filter(private, methods)
     read = set()
     for tree in trees:
         for node in ast.walk(tree):
