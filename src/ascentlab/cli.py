@@ -196,7 +196,7 @@ _SUITES = {
     "cpp": (lambda a: rules.verify_cpp_closure(a.n), 4, None),
     "lockstep": (lambda a: rules.verify_steepest_equals_rules(a.n, budget=a.budget), 8, None),
     "gradient": (lambda a: analysis.verify_gradient_formulas(a.n), 6, 2),
-    "pathwidth": (lambda a: analysis.verify_pathwidth(3, a.n), 10, 3),
+    "pathwidth": (lambda a: analysis.verify_pathwidth(a.n), 10, 3),
     "all": (_verify_all, 8, 2),
 }
 

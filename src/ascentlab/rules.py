@@ -22,10 +22,13 @@ Transition rules
 Rules 1a..7b are syntactic guards over (X_{i+1}, X_i) pairs, or over the
 last symbol with X_2 a plain bit; a rule's ``changes`` names the symbol it
 rewrites ("above", "below" or "last"), and guard matching never requires
-admissibility.  Priorities form a partial order: each of rule groups 3..7
-beats groups 1 and 2, and group 5 beats 3 and 4.  The prioritized successor
-must be unique, and the oracle treats any residual ambiguity as an error
-rather than picking silently.
+admissibility.  The rules are matched from one guard table per value of
+``changes``, so the rules that rewrite a position are read from it and its
+two neighbours alone, and the applications of a state are listed from X_1
+up.  Priorities form a partial order: each of rule groups 3..7 beats
+groups 1 and 2, and group 5 beats 3 and 4.  The prioritized successor must
+be unique, and the oracle treats any residual ambiguity as an error rather
+than picking silently.
 """
 
 from __future__ import annotations
@@ -104,61 +107,48 @@ class RuleApplication:
         return state[:pos] + (self.new_symbol,) + state[pos + 1:]
 
 
-def _apps_by_guard(variable: dict) -> dict[tuple, list[RuleApplication]]:
-    """The applications by guard of the rules whose ``changes`` is a key of
-    ``variable``, which maps it to the variable such a rule rewrites."""
-    index: dict[tuple, list[RuleApplication]] = {}
+def _guard_table(changes: str) -> dict[tuple, tuple]:
+    """Per guard of the rules whose ``changes`` is ``changes``: the (rule
+    id, new symbol) pairs of its rules, in rule-id order."""
+    table: dict[tuple, tuple] = {}
     for rule in RULES.values():
-        if rule.changes in variable:
-            index.setdefault(rule.guard, []).append(
-                RuleApplication(rule.rule_id, variable[rule.changes], rule.new_symbol))
-    return index
+        if rule.changes == changes:
+            table[rule.guard] = table.get(rule.guard, ()) + ((rule.rule_id, rule.new_symbol),)
+    return table
 
 
-# by X_1, the one symbol of a last-symbol guard
-_LAST_APPS = {guard[0]: apps for guard, apps in _apps_by_guard({"last": 1}).items()}
-_ORDER = operator.attrgetter("variable", "rule_id")
-
-
-@functools.cache
-def _pair_apps(n: int) -> tuple[dict, ...]:
-    """Per pair position k of an ``n``-symbol state, where (X_{i+1}, X_i) =
-    (state[k], state[k+1]): the applications there by guard."""
-    return tuple(_apps_by_guard({"above": n - k, "below": n - k - 1})
-                 for k in range(n - 1))
+_ABOVE, _BELOW, _LAST = map(_guard_table, ("above", "below", "last"))
 
 
 def applicable_rules(state: tuple[str, ...]) -> list[RuleApplication]:
-    """All rule instances whose guards match, lowest variable first.
+    """All rule instances whose guards match, in (variable, rule id) order.
 
     Matching is purely syntactic.  (Family-level applicability tables,
     which describe whole pattern families at once, are unions of these
     per-state match sets over the family's members.)  The applications are
-    read position by position with ``_rewriting`` and sorted only when more
-    than one matches.
+    read with ``_rewriting`` position by position from X_1 up, so they come
+    in order without a sort.
     """
-    pair_apps = _pair_apps(len(state))
-    out = [app for pos in range(len(state)) for app in _rewriting(state, pos, pair_apps)]
-    if len(out) > 1:
-        out.sort(key=_ORDER)
-    return out
+    return [app for pos in range(len(state) - 1, -1, -1) for app in _rewriting(state, pos)]
 
 
-def _rewriting(state, pos, pair_apps):
+def _rewriting(state, pos):
     """The applications of the rules that rewrite position ``pos`` of
-    ``state``, given ``pair_apps = _pair_apps(len(state))``: read from the
-    pair above it, the pair below it and, at X_1, the last symbol with its
-    X_2 guard; so from positions pos - 1, pos and pos + 1 alone."""
+    ``state``, from the guard tables: the above-rules by the pair below it
+    or, at X_1, the last-symbol rules under the X_2 guard, then the
+    below-rules by the pair above it; so from positions pos - 1, pos and
+    pos + 1 alone.  They come in rule-id order: a below-rule's guard reads
+    C or iC0 at ``pos`` and no other rule's guard does."""
     n = len(state)
-    variable = n - pos
-    out = []
-    if pos:
-        out += pair_apps[pos - 1].get(state[pos - 1:pos + 1], ())
+    found = ()
     if pos + 1 < n:
-        out += pair_apps[pos].get(state[pos:pos + 2], ())
+        found = _ABOVE.get(state[pos:pos + 2], ())
     elif n == 1 or state[n - 2] in ("0", "1"):  # the X_2 guard of rule groups 1-2
-        out += _LAST_APPS.get(state[pos], ())
-    return [app for app in out if app.variable == variable]
+        found = _LAST.get(state[pos:], ())
+    if pos:
+        found += _BELOW.get(state[pos - 1:pos + 1], ())
+    return [RuleApplication(rule_id, n - pos, new_symbol)
+            for rule_id, new_symbol in found] if found else []
 
 
 # Each rule group and the groups it beats
@@ -539,7 +529,6 @@ def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
     table = _MoveTable(landscape, state)
     walk = _walk(table, functools.partial(_steepest, FAIL_ON_TIE))
     size = len(state)
-    pair_apps = _pair_apps(size)
     stale, stale_by_position = _window_runs(table, size)
     apps = [()] * len(stale)  # per run: the rule applications at its positions
     while state != end:
@@ -547,8 +536,7 @@ def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
             key = values(state)
             hit = memo.get(key)
             if hit is None:
-                hit = sorted((app for pos in positions
-                              for app in _rewriting(state, pos, pair_apps)), key=_ORDER)
+                hit = [app for pos in reversed(positions) for app in _rewriting(state, pos)]
                 if ({(size - app.variable, app.new_symbol) for app in hit}
                         != {move for move, _ in table.improving[index]}):
                     improving = {move for move, _ in table.improving_entries()}

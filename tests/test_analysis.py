@@ -291,12 +291,12 @@ def test_census_capacity_error():
 # -- verification suites ------------------------------------------------------------
 
 def test_verify_gradient_suite_passes():
-    report = verify_gradient_formulas(4, aggregate_n=6)
+    report = verify_gradient_formulas(4)
     assert report.passed
 
 
 def test_verify_pathwidth_suite_passes():
-    report = verify_pathwidth(3, 6)
+    report = verify_pathwidth(6)
     assert report.passed
     assert "8-clique [0, 1, 2, 3, 4, 5, 6, 7]" in report.checks[1].detail
 
@@ -322,8 +322,8 @@ def test_verify_pathwidth_fires_on_a_scope_missing_one_edge():
         adjacency[1] -= {0}
         return ConstraintGraph(len(adjacency), tuple(adjacency))
 
-    report = verify_pathwidth(2, 4, graph_of=without_edge)
+    report = verify_pathwidth(4, graph_of=without_edge)
     assert not report.passed
     failed = [c for c in report.checks if not c.ok]
-    assert [c.label for c in failed] == [f"width exactly 7, N={n}" for n in (2, 3, 4)]
+    assert [c.label for c in failed] == [f"width exactly 7, N={n}" for n in (3, 4)]
     assert all("no edge (0, 1)" in c.detail for c in failed)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ascentlab import cli, rules
+from ascentlab import analysis, cli, rules
 from ascentlab.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -625,6 +625,22 @@ def test_scaling_runs_the_largest_max_n_under_its_cap_and_refuses_the_next(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: scaling to --max-n 4 is over the cap 3\n"
+
+
+def test_verify_gradient_runs_the_largest_n_under_its_cap_and_refuses_the_next(
+        monkeypatch, capsys):
+    monkeypatch.setattr(analysis, "GRADIENT_MAX_N", 3)
+    assert main(["verify", "gradient", "--n", "3"]) == EXIT_OK
+    assert "origin gradient, semismooth n=3" in capsys.readouterr().out
+
+    def no_landscape(*args):
+        raise AssertionError("a landscape was built")
+
+    monkeypatch.setattr(analysis, "WindingLandscape", no_landscape)
+    assert main(["verify", "gradient", "--n", "4"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the gradient formulas to n=4 are over the cap 3\n"
 
 
 def test_census_writes_its_lines_to_out_and_prints_nothing(tmp_path, capsys):

@@ -237,7 +237,7 @@ def applicable_by_scan(state):
     return sorted(out, key=lambda a: (a.variable, a.rule_id))
 
 
-def test_indexed_rule_match_equals_a_scan_of_every_rule():
+def test_rule_match_equals_a_scan_of_every_rule():
     for n in range(1, 5):
         for state in itertools.product(SYMBOLS, repeat=n):
             assert applicable_rules(state) == applicable_by_scan(state), state
@@ -245,44 +245,29 @@ def test_indexed_rule_match_equals_a_scan_of_every_rule():
     for _ in range(500):
         state = tuple(rng.choice(SYMBOLS) for _ in range(12))
         assert applicable_rules(state) == applicable_by_scan(state), state
-
-
-def applicable_by_pairs(state):
-    """The per-pair matcher ``applicable_rules`` used before its position
-    index: rules looked up by guard at every pair, each application built
-    afresh, then sorted."""
-    by_guard = {}
-    for rule in RULES.values():
-        by_guard.setdefault((rule.changes == "last", rule.guard), []).append(rule)
-    n = len(state)
-    out = []
-    if n == 1 or state[n - 2] in ("0", "1"):
-        for rule in by_guard.get((True, (state[n - 1],)), ()):
-            out.append(RuleApplication(rule.rule_id, 1, rule.new_symbol))
-    for k, pair in enumerate(zip(state, state[1:])):
-        above_var = n - k
-        for rule in by_guard.get((False, pair), ()):
-            var = above_var if rule.changes == "above" else above_var - 1
-            out.append(RuleApplication(rule.rule_id, var, rule.new_symbol))
-    out.sort(key=lambda a: (a.variable, a.rule_id))
-    return out
-
-
-def as_triples(apps):
-    return [(a.rule_id, a.variable, a.new_symbol) for a in apps]
-
-
-def test_position_index_gives_the_per_pair_matches_in_order():
-    for n in range(1, 5):
-        for state in itertools.product(SYMBOLS, repeat=n):
-            assert as_triples(applicable_rules(state)) == as_triples(
-                applicable_by_pairs(state)), state
     rng = random.Random(2031)
     for n in range(5, 15):
         for _ in range(1_000):
             state = tuple(rng.choice(SYMBOLS) for _ in range(n))
-            assert as_triples(applicable_rules(state)) == as_triples(
-                applicable_by_pairs(state)), state
+            assert applicable_rules(state) == applicable_by_scan(state), state
+
+
+def test_the_rules_at_a_position_read_only_its_window():
+    # the lockstep memoises a run's rule applications under the values at
+    # the windows p - 1..p + 1 of its positions p, so a symbol outside a
+    # window must not change the rules that rewrite its position
+    rng = random.Random(2032)
+    for n in range(2, 13):
+        for _ in range(100):
+            state = tuple(rng.choice(SYMBOLS) for _ in range(n))
+            for pos in range(n):
+                expected = rules._rewriting(state, pos)
+                for other in range(n):
+                    if abs(other - pos) < 2:
+                        continue
+                    for symbol in SYMBOLS:
+                        redrawn = state[:other] + (symbol,) + state[other + 1:]
+                        assert rules._rewriting(redrawn, pos) == expected, (state, pos, redrawn)
 
 
 def paper_beats(g1: int, g2: int) -> bool:
@@ -346,9 +331,9 @@ def test_rule_successor_is_the_pairwise_priority_pass_on_every_small_state():
 def test_lockstep_fails_when_one_position_of_the_index_drops_a_rule(monkeypatch):
     assert verify_steepest_equals_rules(6).passed
     # the last pair: CC -> C iC0 at X_2 X_1 no longer offers rule 5a there
-    last = rules._pair_apps(6)[4]
-    monkeypatch.setitem(last, ("C", "C"),
-                        [app for app in last[("C", "C")] if app.rule_id != "5a"])
+    rewriting = rules._rewriting
+    monkeypatch.setattr(rules, "_rewriting", lambda state, pos: [
+        app for app in rewriting(state, pos) if (app.rule_id, app.variable) != ("5a", 1)])
     report = verify_steepest_equals_rules(6)
     assert not report.passed
     assert report.lines()[1].startswith("[FAIL] lockstep: improving flips differ from rules")
@@ -597,7 +582,7 @@ def test_lockstep_refuses_a_budget_that_is_not_a_non_negative_int(budget):
 def test_cpp_closure_reports_a_rule_path_error_as_a_failure(monkeypatch):
     label = "improving flips match rules on the counting path"
     # no last-symbol rule: the rules halt at once (RuleError)
-    monkeypatch.setattr(rules, "_LAST_APPS", {})
+    monkeypatch.setattr(rules, "_LAST", {})
     report = verify_cpp_closure(3)
     assert not report.passed
     assert report.lines()[2] == f"[FAIL] {label}: rules halt at 0 0 0 before reaching stop"
@@ -613,7 +598,7 @@ def test_cpp_closure_reports_a_rule_path_error_as_a_failure(monkeypatch):
 
 def test_counting_path_stops_rules_that_cycle_at_its_budget(monkeypatch):
     # 1b rewrites i01 back to 0, so the last symbol cycles 0 -> i01 -> 0
-    monkeypatch.setitem(rules._LAST_APPS, "i01", [RuleApplication("1b", 1, "0")])
+    monkeypatch.setitem(rules._LAST, ("i01",), (("1b", "0"),))
     with pytest.raises(RuleError) as refused:
         counting_path(3)
     assert str(refused.value) == "counting path exceeded its budget; construction broken"
