@@ -26,14 +26,17 @@ ascent engines rely on both directions.  They keep a table of improving
 entries (the moves of delta > 0, with their deltas) from step to step, one
 tuple per neighbourhood run (consecutive variables with equal
 ``affected``), and after a move on ``var`` replace only the runs of
-``affected(var)``.  They memoise each run's tuple under the values of its
-neighbourhood, rescanning only the runs whose values are new through
-``_rescan(state, variables)``: only a landscape that names neighbourhoods
-is asked for a partial scan.  By symmetry, ``affected(var)`` is a union of
-whole runs, so a move replaces a run whole.  The default, ``None``, means
-every variable: a black-box landscape gets one full ``_rescan`` per step,
-with no memo, and so does a landscape whose every ``affected(var)`` names
-every variable.
+``affected(var)``.  The landscape keeps one memo per run for its lifetime
+(built by its first table, in its ``_runs``), of the run's tuple under the
+values of its neighbourhood, so it is bounded by the neighbourhood values
+met; every walk on the landscape rescans only the runs whose values are
+new to it, through ``_rescan(state, variables)``: only a landscape that
+names neighbourhoods is asked for a partial scan.  That needs a
+landscape's costs to stay as they were built.  By symmetry,
+``affected(var)`` is a union of whole runs, so a move replaces a run
+whole.  The default, ``None``, means every variable: a black-box
+landscape gets one full ``_rescan`` per step, with no memo, and so does a
+landscape whose every ``affected(var)`` names every variable.
 A landscape names a neighbourhood for every variable or for none.  The
 table's ``_rescan`` calls check nothing: the state was checked where the
 ascent entered, and a move keeps it in its domains.

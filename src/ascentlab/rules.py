@@ -512,9 +512,12 @@ def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
     ``applicable_rules``' order, is compared with the move the walk took.
     A failed verdict, a halt, a tie or an ambiguous priority is reported as
     a failed check, in terms of the whole state's sets as
-    ``applicable_rules`` gives them.  A ``budget`` that is
-    not a non-negative int is refused, and so is an N whose path to
-    01^(N-1) is over LOCKSTEP_MAX_STEPS, before any step."""
+    ``applicable_rules`` gives them.  From the default start, reaching
+    01^(N-1) at a step other than R(N) (``lockstep_steps``) fails the
+    check too; R(N) counts from 0^N only, so a custom ``start`` skips
+    that test.  A ``budget`` that is not a non-negative int is refused,
+    and so is an N whose path to 01^(N-1) is over LOCKSTEP_MAX_STEPS,
+    before any step."""
     check_lockstep_size(n)
     if landscape is None:
         landscape = SymbolCountingLandscape(n)
@@ -575,6 +578,10 @@ def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
             rep.add("lockstep", False, f"budget {budget} exhausted before 01^(N-1)")
             return rep
         stale = stale_by_position[move[0]]
+    if start is None and steps != lockstep_steps(n):
+        rep.add("lockstep", False,
+                f"01^(N-1) reached at step {steps}, not at R(N) = {lockstep_steps(n)}")
+        return rep
     rep.add("lockstep", True,
             f"{steps} identical steps from start to 01^(N-1), no tie, no ambiguity")
     return rep

@@ -99,55 +99,65 @@ def _improving(scan):
     return tuple([entry for entry in scan if entry[1] > 0])
 
 
+def _layout(landscape: Landscape):
+    """(runs, run_of, plans) of ``landscape``.  A run is a maximal block of
+    consecutive variables with equal ``affected``, as (the getter of its
+    neighbourhood's values, its memo of improving entries by them, its
+    variables, its index in ``improving``); ``run_of`` gives each variable's
+    run and ``plans`` per variable the runs a move on it replaces.  A black
+    box is one run, none listed, with ``plans`` None: no memo."""
+    n = landscape.num_variables
+    hoods = [landscape.affected(var) for var in range(n)]
+    if not any(hood is not None and len(hood) < n for hood in hoods):
+        return (), [0] * n, None
+    cuts = [var for var in range(1, n) if hoods[var] != hoods[var - 1]]
+    runs, run_of = [], []
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        runs.append((operator.itemgetter(*hoods[lo]), {}, range(lo, hi), len(runs)))
+        run_of += [len(runs) - 1] * (hi - lo)
+    return runs, run_of, [[runs[r] for r in dict.fromkeys(run_of[u] for u in hood)]
+                          for hood in hoods]
+
+
 class _MoveTable:
     """The ascent loop's table of improving entries: the moves from
     ``state`` with delta > 0, each with its delta, carried from step to
     step.
 
-    When the landscape names neighbourhoods (``Landscape.affected``),
-    consecutive variables with equal neighbourhoods form a neighbourhood
-    run (the 4 bits of a block of the Boolean lift are one run), and
-    ``improving`` holds one tuple per run: the run's improving entries in
-    canonical order.  ``run_of`` gives each variable's run.  By symmetry,
-    ``affected(v)`` is a union of whole runs, so a move on ``v`` replaces
-    those runs whole.  A run's improving entries depend only on the values
-    of its neighbourhood, and the table memoises them under those values: a
-    run whose values were seen before in this table is reinstalled, and the
+    ``improving`` holds one tuple per neighbourhood run (``_layout``; the 4
+    bits of a block of the Boolean lift are one run): the run's improving
+    entries in canonical order.  ``run_of`` gives each variable's run.  By
+    symmetry, ``affected(v)`` is a union of whole runs, so a move on ``v``
+    replaces those runs whole.  A run's improving entries depend only on
+    the values of its neighbourhood, and its memo keeps them under those
+    values: a run whose values are in the memo is reinstalled, and the
     rest are rescanned together, each entry of delta > 0 sent to its run.
-    A landscape that names no neighbourhoods, or names every variable as
-    every variable's, is a black box: one run, rescanned whole after every
-    move, with no memo, since a walk that never revisits a state would only
-    fill it.  Either way the tuples chain into the scan's improving moves in
-    canonical order, and no tuple changes after the step that built it.
+    A black box is rescanned whole after every move, with no memo, since a
+    walk that never revisits a state would only fill it.  Either way the
+    tuples chain into the scan's improving moves in canonical order, and no
+    tuple changes after the step that built it.
 
     The start is checked by ``move_deltas``, the table's first full scan.
     The refresh after a move calls the private ``_rescan``, which does not
     check the state again: ``_rescan(state, None)`` for the black box, or
     ``_rescan(state, misses)`` for the variables of the memo's misses.  The
-    memo belongs to the table and goes with it.
+    layout and its memo belong to the landscape, built by its first table
+    into its ``_runs``: every later walk on it, from any start and by any
+    move choice, reinstalls what earlier ones scanned, which is sound while
+    its costs stay as built.  ``improving`` and ``state`` are the table's.
     """
 
     def __init__(self, landscape: Landscape, state):
         self.landscape = landscape
         self.state = state
-        n = landscape.num_variables
-        hoods = [landscape.affected(var) for var in range(n)]
-        self.local = any(hood is not None and len(hood) < n for hood in hoods)
+        if "_runs" not in vars(landscape):
+            landscape._runs = _layout(landscape)
+        runs, self.run_of, self._plans = landscape._runs
+        self.local = self._plans is not None
         scan = landscape.move_deltas(state)
         if not self.local:
             self.improving = [_improving(scan)]
-            self.run_of = [0] * n
             return
-        cuts = [var for var in range(1, n) if hoods[var] != hoods[var - 1]]
-        # per run: its neighbourhood's values, its memo of improving entries
-        # by them, its variables and its index in `improving`
-        runs, self.run_of = [], []
-        for lo, hi in zip([0, *cuts], [*cuts, n]):
-            runs.append((operator.itemgetter(*hoods[lo]), {}, range(lo, hi), len(runs)))
-            self.run_of += [len(runs) - 1] * (hi - lo)
-        # per variable: the runs a move on it replaces
-        self._plans = [[runs[r] for r in dict.fromkeys(self.run_of[u] for u in hood)]
-                       for hood in hoods]
         self.improving = [[] for _ in runs]
         self._install(scan, [(memo, values(state), index) for values, memo, _, index in runs])
 

@@ -595,6 +595,8 @@ def test_an_option_the_command_does_not_read_is_refused(argv, tmp_path, capsys):
     (["analyze", "gradient", "--n", "3", "--at", "peak:0"], "k must be in 1..3"),
     (["verify", "all", "--n", "30"],
      "the lockstep at N=30 takes 3758096260 steps, over the cap 8000000"),
+    (["analyze", "census", "--kind", "pairs", "--n", "4", "--max-states", "0"],
+     "the census cap 0 is below 1"),
 ])
 def test_a_refusal_is_one_error_line(argv, message, capsys):
     argv = [arg.replace("{data}", str(GOLDEN)) for arg in argv]
@@ -614,6 +616,33 @@ def test_verify_runs_the_largest_lockstep_under_its_cap_and_refuses_the_next(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: the lockstep at N=6 takes 196 steps, over the cap 88\n"
+
+
+@pytest.mark.parametrize("off", [1, -1])
+def test_verify_lockstep_fails_when_it_reaches_01_off_r_of_n(off, monkeypatch, capsys):
+    steps = rules.lockstep_steps
+    monkeypatch.setattr(rules, "lockstep_steps", lambda n: steps(n) + off)
+    assert main(["verify", "lockstep", "--n", "6"]) == EXIT_VERIFY_FAILED
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"[FAIL] lockstep: 01^(N-1) reached at step 196, not at R(N) = {196 + off}",
+        "result: FAIL"]
+
+
+def test_census_runs_the_largest_state_space_under_its_cap_and_refuses_the_next(
+        monkeypatch, capsys):
+    monkeypatch.setattr(analysis, "CENSUS_MAX_STATES", 64)
+    assert main(["analyze", "census", "--kind", "pairs", "--n", "6", "--alpha", "3"]) == EXIT_OK
+    assert capsys.readouterr().out.encode() == (
+        GOLDEN / "analyze-census-pairs.stdout").read_bytes()
+
+    def no_table(*args):
+        raise AssertionError("a state was read")
+
+    monkeypatch.setattr(analysis, "_MoveTable", no_table)
+    assert main(["analyze", "census", "--kind", "pairs", "--n", "8", "--alpha", "3"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: state space has 256 states, over the cap 64\n"
 
 
 def test_scaling_runs_the_largest_max_n_under_its_cap_and_refuses_the_next(

@@ -5,7 +5,10 @@ and so reinstall memoised runs; its neighbourhood runs tile the variables
 and make up every neighbourhood, a neighbourhood of every variable is the
 black box, a neighbourhood narrowed below the true one is caught, and
 first-improvement over the table takes the same path as a per-move loop
-that draws by the same rule, whose law is a uniformly shuffled scan's."""
+that draws by the same rule, whose law is a uniformly shuffled scan's.
+The memo is the landscape's: a later walk on it reinstalls what an earlier
+one scanned, gives the walk a fresh landscape gives, and never reads
+another landscape's memo."""
 
 from __future__ import annotations
 
@@ -19,7 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ascentlab import search
+from ascentlab.analysis import local_optima_census
 from ascentlab.counting import (
+    F_NONZERO,
     SymbolCountingLandscape,
     make_counting_boolean_instance,
     zero_state,
@@ -27,10 +32,12 @@ from ascentlab.counting import (
 from ascentlab.landscapes import VcspLandscape, make_pairs_instance
 from ascentlab.search import (
     LOCAL_OPTIMUM,
+    LOWEST_INDEX,
     STEP_BUDGET,
     _MoveTable,
     _below,
     first_improvement_ascent,
+    steepest_ascent,
 )
 from ascentlab.symbols import SYMBOLS, encode_state
 from ascentlab.vcsp import SoftConstraint, VcspInstance
@@ -93,9 +100,10 @@ def table_mismatch(landscape, start, rng, steps):
 
 
 def table_runs(table):
-    """The neighbourhood runs of a table that names them, each as its
-    variables, ascending."""
-    return sorted({tuple(run[2]) for touched in table._plans for run in touched})
+    """The neighbourhood runs of the layout of a table's landscape that
+    names them, each as its variables, ascending."""
+    plans = table.landscape._runs[2]
+    return sorted({tuple(run[2]) for touched in plans for run in touched})
 
 
 def revisiting_walk(landscape, start, rng, rounds):
@@ -210,7 +218,8 @@ def test_a_neighbourhood_of_every_variable_makes_a_black_box():
     start = (0,) * 6
     assert all(landscape.affected(var) == tuple(range(6)) for var in range(6))
     table = _MoveTable(landscape, start)
-    assert not table.local and not hasattr(table, "_plans")  # no memo
+    runs, _, plans = landscape._runs
+    assert not table.local and runs == () and plans is None  # no memo
     assert len(table.improving) == 1 and table.run_of == [0] * 6
     assert table_mismatch(landscape, start, random.Random(2), 40) is None
     mismatch, hits = revisiting_walk(landscape, start, random.Random(3), 30)
@@ -495,3 +504,125 @@ def test_first_improvement_equals_the_per_move_loop_on_random_instances(seed, fi
     instance = random_instance(rng, max_domain=5)
     check_same_first_improvement(VcspLandscape(instance),
                                  random_assignment(rng, instance), fi_seed, 200)
+
+
+# -- the memo is the landscape's: later walks reuse what earlier ones scanned --
+
+def reference_steepest(landscape, start, max_steps):
+    """Lowest-index steepest ascent from a fresh ``move_deltas`` scan per
+    step, which reads no memo: ((state, fitness, move, delta) per step,
+    terminal)."""
+    state = tuple(start)
+    fitness = landscape.evaluate(state)
+    steps = [(state, fitness, None, 0)]
+    for _ in range(max_steps):
+        move, delta = max(landscape.move_deltas(state), key=lambda entry: entry[1])
+        if delta <= 0:
+            return steps, LOCAL_OPTIMUM
+        state = landscape.apply(state, move)
+        fitness += delta
+        steps.append((state, fitness, move, delta))
+    improving = any(d > 0 for _, d in landscape.move_deltas(state))
+    return steps, STEP_BUDGET if improving else LOCAL_OPTIMUM
+
+
+def partial_rescans(landscape, walk):
+    """The variable lists of the partial ``_rescan`` calls that ``walk()``
+    makes on ``landscape``, with what ``walk()`` returns."""
+    rescan = landscape._rescan
+    calls = []
+
+    def counted(state, variables):
+        if variables is not None:
+            calls.append(variables)
+        return rescan(state, variables)
+
+    landscape._rescan = counted
+    try:
+        return calls, walk()
+    finally:
+        del landscape._rescan
+
+
+@pytest.mark.parametrize("landscape, start", [
+    (lambda: SymbolCountingLandscape(8), zero_state(8)),
+    (lambda: boolean_lift(5), encode_state(zero_state(5))),
+], ids=["symbols-8", "boolean-lift-5"])
+def test_a_second_identical_ascent_rescans_nothing_but_its_start(landscape, start):
+    landscape = landscape()
+
+    def walk():
+        return steepest_ascent(landscape, start, max_steps=2 ** 12)
+
+    first_calls, first = partial_rescans(landscape, walk)
+    second_calls, second = partial_rescans(landscape, walk)
+    assert first.terminal == LOCAL_OPTIMUM and first_calls
+    assert second_calls == [] and second == first
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_walks_in_any_order_on_one_landscape_equal_walks_on_fresh_ones(seed):
+    rng = random.Random(seed)
+    instance = random_instance(rng, max_domain=4)
+    starts = [random_assignment(rng, instance) for _ in range(3)]
+    walks = ([("census",)] + [("steepest", start) for start in starts]
+             + [("first", start, rng.randrange(2 ** 32)) for start in starts])
+    rng.shuffle(walks)
+
+    def run(landscape, walk):
+        if walk[0] == "census":
+            return local_optima_census(landscape, landscape.state_count(), keep_maxima=True)
+        if walk[0] == "steepest":
+            return steepest_ascent(landscape, walk[1], LOWEST_INDEX, max_steps=5_000)
+        return first_improvement_ascent(landscape, walk[1], walk[2], max_steps=5_000)
+
+    shared = VcspLandscape(instance)
+    for walk in walks:
+        assert run(shared, walk) == run(VcspLandscape(instance), walk)
+
+
+def test_a_census_keeps_one_memo_entry_per_neighbourhood_value():
+    landscape = SymbolCountingLandscape(4)
+    local_optima_census(landscape, 10 ** 4)
+    runs = landscape._runs[0]
+    sizes = [len(memo) for _, memo, _, _ in runs]
+    for values, memo, variables, _ in runs:
+        hood = landscape.affected(variables[0])
+        # the census meets every value tuple of the neighbourhood, once each
+        assert len(memo) == len(SYMBOLS) ** len(hood)
+        for key, entries in memo.items():
+            state = list(zero_state(4))
+            for pos, symbol in zip(hood, key if len(hood) > 1 else (key,)):
+                state[pos] = symbol
+            state = tuple(state)
+            assert values(state) == key
+            assert entries == tuple(entry for entry in landscape.move_deltas(state)
+                                    if entry[0][0] in variables and entry[1] > 0)
+    # walking the landscape again adds no entry
+    local_optima_census(landscape, 10 ** 4)
+    steepest_ascent(landscape, zero_state(4), max_steps=100)
+    assert [len(memo) for _, memo, _, _ in runs] == sizes
+
+
+def test_a_corrupted_landscape_walked_after_a_shipped_one_reads_its_own_memo():
+    # a walk on a corrupted table after walks on the shipped table of the
+    # same N, in either order and again, is the walk a memo-free loop takes
+    f_table = {**F_NONZERO, ("C", "0"): 12}
+    start = zero_state(5)
+
+    def walks(landscape):
+        steepest = steepest_ascent(landscape, start, LOWEST_INDEX, max_steps=2 ** 10)
+        first = first_improvement_ascent(landscape, start, 3, max_steps=2 ** 12)
+        return [(trace.steps, trace.terminal) for trace in (steepest, first)]
+
+    def references(landscape):
+        return [reference_steepest(landscape, start, 2 ** 10),
+                reference_first_improvement(landscape, start, 3, 2 ** 12)]
+
+    shipped = references(SymbolCountingLandscape(5))
+    corrupted = references(SymbolCountingLandscape(5, f_table))
+    assert shipped[0] != corrupted[0] and shipped[1] != corrupted[1]
+    for _ in range(2):
+        assert walks(SymbolCountingLandscape(5)) == shipped
+        assert walks(SymbolCountingLandscape(5, f_table)) == corrupted

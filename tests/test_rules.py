@@ -519,6 +519,18 @@ def test_lockstep_small_and_midpath_start():
     assert report.passed
 
 
+def test_lockstep_checks_r_of_n_from_the_default_start_only(monkeypatch):
+    # R(N) counts from 0^N: off by one, it fails the default start and is
+    # not read from a start midway along the path
+    steps = lockstep_steps
+    monkeypatch.setattr(rules, "lockstep_steps", lambda n: steps(n) + 1)
+    report = verify_steepest_equals_rules(7)
+    assert not report.passed
+    assert report.lines()[1] == (
+        f"[FAIL] lockstep: 01^(N-1) reached at step {steps(7)}, not at R(N) = {steps(7) + 1}")
+    assert verify_steepest_equals_rules(7, start=S("0 0 0 1 1 1 1")).passed
+
+
 def test_lockstep_detects_corrupted_table():
     # the corrupted entry first matters at N = 4, where the counting path
     # first carries through a 1; at N = 3 the oracles correctly stay green
