@@ -9,7 +9,8 @@ first in odd pairs and this checkout first in even ones.  A run that exits
 non-zero or reports ``correct: false`` stops the script with exit 1.  FILE
 (JSON) holds, per workload and end-to-end metric of ``BENCHMARK.json``,
 each side's median and quartiles, the change of the medians in percent,
-and the pairs this checkout won (a tie counts for neither side); a
+and the pairs this checkout won (a tie counts for neither side), and
+``src_lines``, the line count of ``src/ascentlab/*.py`` on each side; a
 Markdown table of the same figures goes to standard output.
 """
 
@@ -74,6 +75,13 @@ def table(summary: dict) -> list[str]:
     return rows
 
 
+def src_lines(checkout: Path) -> int:
+    """The line count of ``src/ascentlab/*.py`` in ``checkout``, as ``wc -l``
+    counts it."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "ascentlab").glob("*.py"))
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``--trace 0`` run in ``checkout``: the metric values of its result."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -112,9 +120,11 @@ def main(argv=None) -> int:
                 checkout = args.parent if side == "parent" else ROOT
                 runs[side].append(run_once(checkout, workload, seed, args.seconds))
         summary[workload] = summarize(runs["parent"], runs["change"], spec["end_to_end"])
+    lines = {"parent": src_lines(args.parent), "change": src_lines(ROOT)}
     args.out.write_text(json.dumps({"pairs": args.pairs, "seconds": args.seconds,
-                                    "workloads": summary}, indent=1) + "\n")
+                                    "src_lines": lines, "workloads": summary}, indent=1) + "\n")
     print("\n".join(table(summary)))
+    print(f"\nsrc/ascentlab lines: parent {lines['parent']}, change {lines['change']}")
     return 0
 
 

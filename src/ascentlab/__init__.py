@@ -22,7 +22,6 @@ from .rules import (
     AdmissibleClass,
     applicable_rules,
     classify,
-    counting_path,
     verify_cpp_closure,
     verify_steepest_equals_rules,
 )

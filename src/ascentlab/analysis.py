@@ -236,8 +236,11 @@ def _gray_steps(domains):
 
 
 # a census of 2^24 states took 35 s on pairs n = 24 and 79 s on the Boolean
-# lift at N = 6 (2-core host, Python 3.11); counting-symbol N = 7 took 17 s
+# lift at N = 6 (2-core host, Python 3.11); counting-symbol N = 7 took 17 s.
+# A black box rescans every variable at every state: winding n = 10 (2^20
+# states) took 14 s and n = 11 (2^22) 62 s
 CENSUS_MAX_STATES = 2 ** 24
+CENSUS_MAX_BLACK_BOX_STATES = 2 ** 22
 
 
 def local_optima_census(landscape: Landscape, max_states: int,
@@ -254,7 +257,8 @@ def local_optima_census(landscape: Landscape, max_states: int,
     meets; a black box, whose one run is the whole state, is rescanned at
     every state with no memo.  ``maxima`` are in ``iter_states`` order.  A
     ``max_states`` below 1, or more states than it or CENSUS_MAX_STATES, is
-    refused before any state is read."""
+    refused before any state is read; a black box over
+    CENSUS_MAX_BLACK_BOX_STATES, once its table has scanned the zero state."""
     if max_states < 1:
         raise AnalysisError(f"the census cap {max_states} is below 1")
     total = landscape.state_count()
@@ -262,6 +266,9 @@ def local_optima_census(landscape: Landscape, max_states: int,
     if total > cap:
         raise AnalysisError(f"state space has {total} states, over the cap {cap}")
     table = _MoveTable(landscape, landscape.zero_state())
+    if not table.local and total > CENSUS_MAX_BLACK_BOX_STATES:
+        raise AnalysisError(f"state space has {total} states, "
+                            f"over the cap {CENSUS_MAX_BLACK_BOX_STATES}")
     improving = table.improving   # per neighbourhood run, kept up to date in place
     count = 0
     global_max = worst_local = None
@@ -356,15 +363,24 @@ def _missing_edge(graph: ConstraintGraph, scope):
     return None
 
 
+# verify_pathwidth builds and checks the instance of every N up to n_high, so
+# its time grows about quadratically: on a 2-core host with Python 3.11 the
+# cap, n = 2,000, took 61 s
+PATHWIDTH_MAX_N = 2000
+
+
 def verify_pathwidth(n_high: int = 10, graph_of=None) -> Report:
     """The encoded counting instance's constraint graph has pathwidth and
     treewidth exactly 7 for every N in 3..``n_high``.  The lexicographic
     variable order has width 7, an upper bound; every arity-8 scope is an
     8-clique of the graph, and a k-clique forces treewidth >= k - 1, the
-    lower bound.  Exact treewidth at N = 3 confirms both.
+    lower bound.  Exact treewidth at N = 3 confirms both.  An ``n_high``
+    over PATHWIDTH_MAX_N is refused before any instance is built.
 
     ``graph_of(instance)`` is the graph checked, by default the instance's
     constraint graph; passing a corrupted one shows the checks fire."""
+    if n_high > PATHWIDTH_MAX_N:
+        raise ValueError(f"the pathwidth check to N={n_high} is over the cap {PATHWIDTH_MAX_N}")
     from .counting import make_counting_boolean_instance
 
     rep = Report("constraint-graph width")

@@ -218,6 +218,9 @@ def cmd_verify(args) -> int:
 # scaling holds each whole trace of 2^(n+1) - 2 steps: 97 MB peak RSS and 5 s
 # at n = 16 on a 2-core host, both doubling with each n
 SCALING_MAX_N = 16
+# degree-bounds takes four gradients of 2n entries per peak, n peaks: on the
+# same host n = 2,000 took 45 s and the cap, n = 2,400, 67 s and 547 MB peak RSS
+DEGREE_BOUNDS_MAX_N = 2400
 
 
 def _scaling(args) -> list[str]:
@@ -246,6 +249,8 @@ def _gradient(args) -> list[str]:
 
 
 def _degree_bounds(args) -> list[str]:
+    if args.n > DEGREE_BOUNDS_MAX_N:
+        raise CliError(f"degree bounds to --n {args.n} are over the cap {DEGREE_BOUNDS_MAX_N}")
     landscape = WindingLandscape(args.n, _schedule_from_args(args, args.n))
     report = analysis.degree_bound_report(landscape, analysis.winding_peak_pairs(landscape))
     rows = ["k\tdiffering_variables\tflow_bound\tchanged_odd_entries"]

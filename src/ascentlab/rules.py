@@ -44,10 +44,6 @@ from .search import FAIL_ON_TIE, TieError, _MoveTable, _steepest, _walk
 from .symbols import format_symbol_state
 
 
-class RuleError(ValueError):
-    pass
-
-
 class AmbiguousPriorityError(RuntimeError):
     def __init__(self, state, candidates):
         self.state = state
@@ -155,22 +151,9 @@ def _rewriting(state, pos):
 _BEATEN = {1: (), 2: (), 3: (1, 2), 4: (1, 2), 5: (1, 2, 3, 4), 6: (1, 2), 7: (1, 2)}
 
 
-def rule_successor(state: tuple[str, ...]):
-    """Apply the unique highest-priority applicable rule.
-
-    Returns (next_state, RuleApplication), or None when no rule applies
-    (the halt signal).  Raises AmbiguousPriorityError when the priority
-    order leaves more than one candidate; that never happens on states
-    reachable from the all-zero state, and the oracles prove it rather than
-    assume it.
-    """
-    chosen = _choose(state, applicable_rules(state))
-    return None if chosen is None else (chosen.apply(state), chosen)
-
-
 def _choose(state, candidates):
     """The one highest-priority application among ``candidates``, the rule
-    applications of ``state``, or None when there is none.  A lone
+    applications of ``state``, of which there is at least one.  A lone
     candidate is chosen without a priority pass; several unbeaten ones
     raise AmbiguousPriorityError, listed in the candidates' order."""
     if len(candidates) > 1:
@@ -179,25 +162,7 @@ def _choose(state, candidates):
         candidates = [c for c, g in zip(candidates, groups) if g not in beaten]
         if len(candidates) != 1:
             raise AmbiguousPriorityError(state, [(c.rule_id, c.variable) for c in candidates])
-    elif not candidates:
-        return None
     return candidates[0]
-
-
-def counting_path(n: int) -> list[tuple[str, ...]]:
-    """The rule-driven counting path from 0^N to 01^(N-1), inclusive."""
-    state, stop = zero_state(n), count_end_state(n)
-    path = [state]
-    budget = 2 ** (n + 5)
-    while state != stop:
-        step = rule_successor(state)
-        if step is None:
-            raise RuleError(f"rules halt at {format_symbol_state(state)} before reaching stop")
-        state = step[0]
-        path.append(state)
-        if len(path) > budget:
-            raise RuleError("counting path exceeded its budget; construction broken")
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +362,16 @@ def verify_cpp_closure(n: int, landscape: SymbolCountingLandscape | None = None)
     """Exhaustive closure and rule-coverage oracle over all 10^N states.
 
     Checks (a) every strictly improving flip from an admissible state lands
-    in an admissible state, and (b) along the counting path from 0^N to
-    01^(N-1) the set of strictly improving flips equals the set of
-    guard-matching rule transitions.  Passing a corrupted landscape breaks
-    (b) (and possibly (a)), which is how the oracle's own sensitivity is
-    tested.  The detail shows the first 20 counterexamples.  A landscape of
-    more than CLOSURE_MAX_STATES states is refused before any is read.
+    in an admissible state, and (b) the lockstep from 0^N on the same
+    landscape (``verify_steepest_equals_rules``): at every state steepest
+    ascent visits up to 01^(N-1), the strictly improving flips equal the
+    guard-matching rule transitions and steepest ascent takes the rules'
+    prioritized move, reaching 01^(N-1) at step R(N); on a pass, the detail
+    counts the R(N) + 1 path states, and on a failure it is the lockstep's.
+    Passing a corrupted landscape breaks (b) (and possibly (a)), which is
+    how the oracle's own sensitivity is tested.  The detail of (a) shows the
+    first 20 counterexamples.  A landscape of more than CLOSURE_MAX_STATES
+    states is refused before any is read.
     """
     if landscape is None:
         landscape = SymbolCountingLandscape(n)
@@ -433,29 +402,9 @@ def verify_cpp_closure(n: int, landscape: SymbolCountingLandscape | None = None)
         detail += f"; {len(violations)} counterexamples: {shown}"
     rep.add("improving flips preserve admissibility", ok, detail)
 
-    mismatches = []
-    try:
-        path = counting_path(n)
-    except (RuleError, AmbiguousPriorityError) as exc:
-        rep.add("improving flips match rules on the counting path", False, str(exc))
-        return rep
-    for state in path:
-        improving = {move for move, d in landscape.move_deltas(state) if d > 0}
-        by_rule = {
-            (len(state) - app.variable, app.new_symbol)
-            for app in applicable_rules(state)
-        }
-        if improving != by_rule:
-            mismatches.append((state, improving, by_rule))
-    ok = not mismatches
-    detail = f"{len(path)} path states"
-    if mismatches:
-        s, imp, byr = mismatches[0]
-        detail += (
-            f"; {len(mismatches)} mismatches, first at {format_symbol_state(s)}: "
-            f"improving-only={sorted(imp - byr)} rule-only={sorted(byr - imp)}"
-        )
-    rep.add("improving flips match rules on the counting path", ok, detail)
+    lockstep = verify_steepest_equals_rules(n, landscape=landscape).checks[0]
+    rep.add("improving flips match rules on the counting path", lockstep.ok,
+            f"{lockstep_steps(n) + 1} path states" if lockstep.ok else lockstep.detail)
     return rep
 
 
@@ -498,7 +447,8 @@ def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
     """Lockstep oracle: from ``start`` (default 0^N), steepest ascent under
     fail-on-tie and the prioritized rules must produce the same state
     sequence up to the counting path's endpoint 01^(N-1), with the improving
-    flips at every visited state exactly the guard-matching transitions.
+    flips at every visited state, 01^(N-1) included, exactly the
+    guard-matching transitions.
 
     The check is made per window.  Steepest ascent's own move table keeps
     the improving moves per neighbourhood run; a run passes when they equal
@@ -534,7 +484,7 @@ def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
     size = len(state)
     stale, stale_by_position = _window_runs(table, size)
     apps = [()] * len(stale)  # per run: the rule applications at its positions
-    while state != end:
+    while True:
         for values, memo, positions, index in stale:
             key = values(state)
             hit = memo.get(key)
@@ -553,6 +503,8 @@ def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
                     return rep
                 memo[key] = hit  # only a passing verdict is stored
             apps[index] = hit
+        if state == end:
+            break
         # runs from the highest position down: applicable_rules' order
         candidates = list(itertools.chain.from_iterable(reversed(apps)))
         if not candidates:

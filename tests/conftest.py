@@ -6,6 +6,9 @@ import json
 import random
 from pathlib import Path
 
+from ascentlab import rules
+from ascentlab.counting import count_end_state, zero_state
+from ascentlab.symbols import format_symbol_state
 from ascentlab.vcsp import SoftConstraint, VcspInstance, instance_from_obj, instance_to_obj
 
 _acceptance_results: list[tuple[str, bool]] = []
@@ -54,3 +57,38 @@ def dump_instance(instance: VcspInstance, path) -> None:
 def load_instance(path) -> VcspInstance:
     """The instance of the document at ``path``."""
     return instance_from_obj(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+# -- the rules' own reference walker ----------------------------------------
+
+class RuleError(ValueError):
+    """The rules halt, or run past their budget, before 01^(N-1)."""
+
+
+def rule_successor(state):
+    """Apply the unique highest-priority applicable rule: (next state, the
+    application), or None when no rule applies (the halt signal).  Raises
+    AmbiguousPriorityError when the priority order leaves more than one
+    candidate."""
+    candidates = rules.applicable_rules(state)
+    if not candidates:
+        return None
+    chosen = rules._choose(state, candidates)
+    return chosen.apply(state), chosen
+
+
+def counting_path(n: int) -> list[tuple[str, ...]]:
+    """The rule-driven counting path from 0^N to 01^(N-1), inclusive, walked
+    by the rules alone."""
+    state, stop = zero_state(n), count_end_state(n)
+    path = [state]
+    budget = 2 ** (n + 5)
+    while state != stop:
+        step = rule_successor(state)
+        if step is None:
+            raise RuleError(f"rules halt at {format_symbol_state(state)} before reaching stop")
+        state = step[0]
+        path.append(state)
+        if len(path) > budget:
+            raise RuleError("counting path exceeded its budget; construction broken")
+    return path

@@ -26,7 +26,6 @@ from ascentlab.counting import (
 )
 from ascentlab.landscapes import VcspLandscape, make_pairs_instance
 from ascentlab.rules import (
-    counting_path,
     verify_cpp_closure,
     verify_rule_arithmetic,
     verify_steepest_equals_rules,
@@ -35,6 +34,7 @@ from ascentlab.search import LOCAL_OPTIMUM, steepest_ascent
 from ascentlab.symbols import decode_bits, encode_state
 from ascentlab.winding import StepSchedule, WindingLandscape
 
+from conftest import counting_path
 from test_search import GOLDEN_N7
 
 

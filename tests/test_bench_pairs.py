@@ -1,6 +1,6 @@
 """The paired-run script's summary, on fixed run results: medians,
 quartiles, the change in percent and the wins, a tie counting for neither
-side.  No benchmark is run."""
+side; and its line count of a source tree.  No benchmark is run."""
 
 from __future__ import annotations
 
@@ -51,3 +51,14 @@ def test_table_row_per_workload_and_metric():
     rows = bench_pairs.table(summary)
     assert rows[2] == "| boolean-lift | wall_s | 0.075 [0.0725, 0.0775] | 0.06 [0.06, 0.06] | -20.0 | 2/2 |"
     assert rows[3] == "| boolean-lift | work_per_s | 100 [100, 100] | 105 [97.5, 112.5] | +5.0 | 1/2 |"
+
+
+def test_src_lines_counts_the_package_modules_only(tmp_path):
+    package = tmp_path / "src" / "ascentlab"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\ny = 2\n")
+    (package / "b.py").write_text("z = 3\nw = 4")  # no newline at the end, as wc -l reads it
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (package / "sub" / "c.py").write_text("not counted\n")
+    (tmp_path / "src" / "other.py").write_text("not counted\n")
+    assert bench_pairs.src_lines(tmp_path) == 4

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ascentlab import analysis, cli, rules
+from ascentlab import analysis, cli, counting, rules
 from ascentlab.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -19,6 +19,7 @@ from ascentlab.cli import (
 from ascentlab.counting import SymbolCountingLandscape, make_counting_boolean_instance
 from ascentlab.landscapes import make_pairs_instance
 from ascentlab.vcsp import instance_to_obj
+from ascentlab.winding import WindingLandscape
 
 from conftest import dump_instance, load_instance
 
@@ -643,6 +644,65 @@ def test_census_runs_the_largest_state_space_under_its_cap_and_refuses_the_next(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: state space has 256 states, over the cap 64\n"
+
+
+def test_census_refuses_a_black_box_over_its_cap_after_scanning_the_zero_state(
+        tmp_path, monkeypatch, capsys):
+    # winding is a black box: one run, rescanned whole at every state
+    monkeypatch.setattr(analysis, "CENSUS_MAX_BLACK_BOX_STATES", 2 ** 8)
+    assert main(["analyze", "census", "--instance", str(GOLDEN / "w4.json")]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("states=256 local_maxima=1 ")
+    # a landscape with a memo is not held to it
+    assert main(["analyze", "census", "--kind", "pairs", "--n", "10"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("states=1024 ")
+    assert main(["gen", "winding", "--n", "5", "-o", str(tmp_path / "w5.json")]) == EXIT_OK
+    capsys.readouterr()
+    scans = []
+    rescan = WindingLandscape._rescan
+
+    def counted(self, state, variables):
+        scans.append(state)
+        return rescan(self, state, variables)
+
+    monkeypatch.setattr(WindingLandscape, "_rescan", counted)
+    assert main(["analyze", "census", "--instance", str(tmp_path / "w5.json")]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: state space has 1024 states, over the cap 256\n"
+    assert scans == [(0,) * 10]  # the zero state alone
+
+
+def test_verify_pathwidth_runs_the_largest_n_under_its_cap_and_refuses_the_next(
+        monkeypatch, capsys):
+    monkeypatch.setattr(analysis, "PATHWIDTH_MAX_N", 4)
+    assert main(["verify", "pathwidth", "--n", "4"]) == EXIT_OK
+    assert capsys.readouterr().out.encode() == (GOLDEN / "verify-pathwidth.stdout").read_bytes()
+
+    def no_instance(*args):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr(counting, "make_counting_boolean_instance", no_instance)
+    assert main(["verify", "pathwidth", "--n", "5"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the pathwidth check to N=5 is over the cap 4\n"
+
+
+def test_degree_bounds_run_the_largest_n_under_their_cap_and_refuse_the_next(
+        monkeypatch, capsys):
+    monkeypatch.setattr(cli, "DEGREE_BOUNDS_MAX_N", 5)
+    assert main(["analyze", "degree-bounds", "--n", "5"]) == EXIT_OK
+    assert capsys.readouterr().out.encode() == (
+        GOLDEN / "analyze-degree-bounds.stdout").read_bytes()
+
+    def no_landscape(*args):
+        raise AssertionError("a landscape was built")
+
+    monkeypatch.setattr(cli, "WindingLandscape", no_landscape)
+    assert main(["analyze", "degree-bounds", "--n", "6"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: degree bounds to --n 6 are over the cap 5\n"
 
 
 def test_scaling_runs_the_largest_max_n_under_its_cap_and_refuses_the_next(

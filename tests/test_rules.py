@@ -25,11 +25,8 @@ from ascentlab.rules import (
     MAIN_FAMILIES,
     RULES,
     RuleApplication,
-    RuleError,
     applicable_rules,
     classify,
-    counting_path,
-    rule_successor,
     verify_cpp_closure,
     verify_rule_arithmetic,
     lockstep_steps,
@@ -38,6 +35,8 @@ from ascentlab.rules import (
 from ascentlab.search import FAIL_ON_TIE, TieError, _MoveTable, _steepest, _walk
 from ascentlab.symbols import SYMBOLS, format_symbol_state
 from ascentlab.vcsp import SoftConstraint, VcspInstance
+
+from conftest import RuleError, counting_path, rule_successor
 
 
 def S(text: str) -> tuple[str, ...]:
@@ -593,11 +592,13 @@ def test_lockstep_refuses_a_budget_that_is_not_a_non_negative_int(budget):
 
 def test_cpp_closure_reports_a_rule_path_error_as_a_failure(monkeypatch):
     label = "improving flips match rules on the counting path"
-    # no last-symbol rule: the rules halt at once (RuleError)
+    # no last-symbol rule: the rules halt at once, where the increment improves
     monkeypatch.setattr(rules, "_LAST", {})
     report = verify_cpp_closure(3)
     assert not report.passed
-    assert report.lines()[2] == f"[FAIL] {label}: rules halt at 0 0 0 before reaching stop"
+    assert report.lines()[2] == (
+        f"[FAIL] {label}: improving flips differ from rules at 0 0 0 (step 0): "
+        "improving-only=[(2, 'i01')] rule-only=[]")
     monkeypatch.undo()
     # a priority that never decides: two candidates stay (AmbiguousPriorityError)
     monkeypatch.setattr(rules, "_BEATEN", beaten_table(lambda g1, g2: False))
@@ -605,7 +606,7 @@ def test_cpp_closure_reports_a_rule_path_error_as_a_failure(monkeypatch):
     assert not report.passed
     assert report.lines()[2] == (
         f"[FAIL] {label}: priority does not single out a rule at 0 0 C C: "
-        "[('5a', 1), ('4a', 3)]")
+        "[('5a', 1), ('4a', 3)] (step 16)")
 
 
 def test_counting_path_stops_rules_that_cycle_at_its_budget(monkeypatch):
@@ -633,9 +634,9 @@ def test_lockstep_refuses_an_n_over_its_cap_before_any_step(monkeypatch):
 
 def lockstep_by_whole_state(n, start=None, budget=None, landscape=None):
     """``verify_steepest_equals_rules`` as it was before its per-window
-    check: at every step, the whole state's improving flips against all of
-    ``applicable_rules``, and the rules' successor state against steepest
-    ascent's."""
+    check: at every state, 01^(N-1) included, the whole state's improving
+    flips against all of ``applicable_rules``, and up to 01^(N-1) the
+    rules' successor state against steepest ascent's."""
     if landscape is None:
         landscape = SymbolCountingLandscape(n)
     if budget is None:
@@ -646,7 +647,7 @@ def lockstep_by_whole_state(n, start=None, budget=None, landscape=None):
     steps = 0
     table = _MoveTable(landscape, state)
     walk = _walk(table, functools.partial(_steepest, FAIL_ON_TIE))
-    while state != end:
+    while True:
         improving = {m for m, _ in table.improving_entries()}
         candidates = applicable_rules(state)
         by_rule = {(len(state) - app.variable, app.new_symbol) for app in candidates}
@@ -657,6 +658,8 @@ def lockstep_by_whole_state(n, start=None, budget=None, landscape=None):
                 f"(step {steps}): improving-only={sorted(improving - by_rule)} "
                 f"rule-only={sorted(by_rule - improving)}")
             return rep
+        if state == end:
+            break
         if not improving:
             rep.add("lockstep", False,
                     f"steepest ascent halts at {format_symbol_state(state)} (step {steps})")
@@ -695,6 +698,65 @@ def assert_same_lockstep(n, **kwargs):
 # the pair-table edits of ROADMAP item 1, each of which some check must see
 MUTATIONS = [(("C", "0"), 12), (("X", "iC0"), 11), (("i1C", "C"), 0), (("0", "1"), 5)]
 STARTS = ["1 C 1 C", "0 0 X", "0 X 0 0", "0 0 0 1 1 1 1"]
+# pair-table edits that change the improving flips of 01^(N-1) at N = 3 and of
+# no earlier state on the path: the walk's last state must be checked too
+END_EDITS = [(("1", "1"), 5), (("1", "iX1"), 5), (("i1C", "1"), 21), (("iX1", "1"), 21)]
+
+
+def rule_walk_row(n, landscape):
+    """Row (b) of ``verify_cpp_closure`` as it was before it read the
+    lockstep, kept as its oracle: the rules' own walk from 0^N
+    (``counting_path``), and at each of its states the whole state's
+    improving flips against the guard-matching rule transitions.  Returns
+    (passed, path states)."""
+    try:
+        path = counting_path(n)
+    except (RuleError, AmbiguousPriorityError):
+        return False, None
+    return all({move for move, d in landscape.move_deltas(state) if d > 0}
+               == {(n - app.variable, app.new_symbol) for app in applicable_rules(state)}
+               for state in path), len(path)
+
+
+def closure_rule_row(n, landscape):
+    """Row (b) of ``verify_cpp_closure(n, landscape)``.  Row (a)'s walk over
+    every state is given no states: row (b) does not read it, and at N = 7
+    it takes seconds."""
+    landscape.iter_states = lambda: iter(())
+    check = verify_cpp_closure(n, landscape=landscape).checks[1]
+    assert check.label == "improving flips match rules on the counting path"
+    return check
+
+
+def test_the_closure_rule_row_fails_wherever_the_rule_walk_fails(monkeypatch):
+    for n in range(2, 8):  # the shipped tables: R(N) + 1 path states both ways
+        check = closure_rule_row(n, SymbolCountingLandscape(n))
+        assert check.ok and check.detail == f"{lockstep_steps(n) + 1} path states", n
+        assert rule_walk_row(n, SymbolCountingLandscape(n)) == (True, lockstep_steps(n) + 1)
+    verdicts = []
+
+    def compare(n, f_table=F_NONZERO):
+        old, _ = rule_walk_row(n, SymbolCountingLandscape(n, f_table=f_table))
+        new = closure_rule_row(n, SymbolCountingLandscape(n, f_table=f_table))
+        assert old or not new.ok, (n, new.detail)
+        verdicts.append((old, new.ok))
+
+    for pair, value in MUTATIONS:
+        for n in range(3, 7):
+            compare(n, {**F_NONZERO, pair: value})
+    for pair, value in END_EDITS:
+        compare(3, {**F_NONZERO, pair: value})
+    # the rules halt at 0^N; a priority that never decides; rules that cycle
+    # 0 -> i01 -> 0 at X_1
+    for name, table in (("_LAST", {}), ("_BEATEN", beaten_table(lambda g1, g2: False)),
+                        ("_LAST", {**rules._LAST, ("i01",): (("1b", "0"),)})):
+        with monkeypatch.context() as patched:
+            patched.setattr(rules, name, table)
+            for n in range(3, 7):
+                compare(n)
+    # the new row also fails the tie that ("C", "0") = 12 makes at N = 4..6,
+    # which the rule walk cannot see
+    assert Counter(verdicts) == {(False, False): 25, (True, False): 3, (True, True): 4}
 
 
 def test_per_window_lockstep_prints_the_whole_state_report():
@@ -707,6 +769,11 @@ def test_per_window_lockstep_prints_the_whole_state_report():
             lines = assert_same_lockstep(n, landscape=SymbolCountingLandscape(n, f_table=f_table))
             verdicts.append(lines[-1])
     assert "result: FAIL" in verdicts  # each mutation fails somewhere
+    for pair, value in END_EDITS:
+        lines = assert_same_lockstep(
+            3, landscape=SymbolCountingLandscape(3, f_table={**F_NONZERO, pair: value}))
+        assert lines[1].startswith(
+            "[FAIL] lockstep: improving flips differ from rules at 0 1 1 (step 12): "), pair
     for text in STARTS:
         state = S(text)
         assert_same_lockstep(len(state), start=state)
