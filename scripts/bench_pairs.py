@@ -9,9 +9,11 @@ first in odd pairs and this checkout first in even ones.  A run that exits
 non-zero or reports ``correct: false`` stops the script with exit 1.  FILE
 (JSON) holds, per workload and end-to-end metric of ``BENCHMARK.json``,
 each side's median and quartiles, the change of the medians in percent,
-and the pairs this checkout won (a tie counts for neither side), and
-``src_lines``, the line count of ``src/ascentlab/*.py`` on each side; a
-Markdown table of the same figures goes to standard output.
+the pairs this checkout won (a tie counts for neither side) and
+``meets_claim_rule``: whether it won at least nine tenths of the pairs
+and its median beats the parent's by more than the parent's q3 - q1; and
+``src_lines``, the line count of ``src/ascentlab/*.py`` on each side.  A
+Markdown table of the figures but the rule goes to standard output.
 """
 
 from __future__ import annotations
@@ -37,7 +39,10 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> di
     """Per metric of ``metrics`` (``BENCHMARK.json``'s end-to-end entries:
     name, unit, better), the two sides' medians and quartiles over the pairs
     of ``parent`` and ``change`` (one dict of metric values per run, in pair
-    order), the change of the medians in percent, and the change's wins."""
+    order), the change of the medians in percent, the change's wins, and
+    whether they meet the rule for claiming a gain: at least nine tenths of
+    the pairs won, and the medians apart in the better direction by more
+    than the parent's interquartile range."""
     out = {}
     for metric in metrics:
         name = metric["name"]
@@ -50,6 +55,8 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> di
             q1, median, q3 = quartiles(values)
             sides[side] = {"median": median, "q1": q1, "q3": q3}
         base = sides["parent"]["median"]
+        gain = sign * (sides["change"]["median"] - base)
+        spread = sides["parent"]["q3"] - sides["parent"]["q1"]
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -57,6 +64,7 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> di
             "change_pct": 100 * (sides["change"]["median"] - base) / base if base else None,
             "wins": wins,
             "pairs": len(before),
+            "meets_claim_rule": 10 * wins >= 9 * len(before) and gain > spread,
         }
     return out
 

@@ -219,7 +219,8 @@ def cmd_verify(args) -> int:
 # at n = 16 on a 2-core host, both doubling with each n
 SCALING_MAX_N = 16
 # degree-bounds takes four gradients of 2n entries per peak, n peaks: on the
-# same host n = 2,000 took 45 s and the cap, n = 2,400, 67 s and 547 MB peak RSS
+# same host n = 1,000 took 7.8 s and 36 MB peak RSS and the cap, n = 2,400,
+# 50 s and 113 MB (resource.getrusage of its own process)
 DEGREE_BOUNDS_MAX_N = 2400
 
 

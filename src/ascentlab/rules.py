@@ -362,7 +362,11 @@ def verify_cpp_closure(n: int, landscape: SymbolCountingLandscape | None = None)
     """Exhaustive closure and rule-coverage oracle over all 10^N states.
 
     Checks (a) every strictly improving flip from an admissible state lands
-    in an admissible state, and (b) the lockstep from 0^N on the same
+    in an admissible state: ``classify`` reads every state, and the
+    admissible ones are walked in ``iter_states`` order on one move table,
+    built at the first and stepped at each later one on every position
+    whose symbol changed, so their improving flips come from the
+    landscape's per-run memo; and (b) the lockstep from 0^N on the same
     landscape (``verify_steepest_equals_rules``): at every state steepest
     ascent visits up to 01^(N-1), the strictly improving flips equal the
     guard-matching rule transitions and steepest ascent takes the rules'
@@ -382,15 +386,21 @@ def verify_cpp_closure(n: int, landscape: SymbolCountingLandscape | None = None)
 
     admissible_count = 0
     violations = []
+    table = None
     for state in landscape.iter_states():
         if not classify(state).admissible:
             continue
         admissible_count += 1
-        for move, d in landscape.move_deltas(state):
-            if d > 0:
-                successor = landscape.apply(state, move)
-                if not classify(successor).admissible:
-                    violations.append((state, successor))
+        if table is None:
+            table = _MoveTable(landscape, state)
+        else:
+            for pos, (old, new) in enumerate(zip(table.state, state)):
+                if old != new:
+                    table.step((pos, new))
+        for move, _ in table.improving_entries():
+            successor = landscape.apply(state, move)
+            if not classify(successor).admissible:
+                violations.append((state, successor))
     violations.sort()
     ok = not violations
     detail = f"{admissible_count} admissible states of {landscape.state_count()}"

@@ -109,11 +109,12 @@ class WindingLandscape(Landscape):
         self._memo: tuple | None = None
         # the level pass memoised in two halves split at pair K = n // 2 (see
         # _level_scan): high entries by the bits of pairs K+1..n, low entries
-        # by the bits of pairs 1..K, one dict per side entering level K; the
-        # entries are immutable, so a concurrent fill stores an equal entry
+        # by the bits of pairs 1..K, as a list of one slot per side entering
+        # level K; the entries are immutable, so a concurrent fill stores an
+        # equal entry, or drops one that a later miss fills again
         self._half = 2 * (n // 2)
         self._highs: dict = {}
-        self._lows: tuple[dict, dict] = ({}, {})
+        self._lows: dict = {}
 
     # -- evaluation ---------------------------------------------------------
 
@@ -133,9 +134,9 @@ class WindingLandscape(Landscape):
         ``delta`` per flip, each a memo hit; the landscape names no
         neighbourhoods, so ``variables`` is None.  The pass comes from
         ``_level_scan``'s memo of two halves (high pairs keyed by their bits,
-        low pairs by their bits and the side entering them, at most
-        2 * 4^K + 4^(n-K) entries); a miss, or a low half with fewer than
-        two non-00 pairs below K, takes the full pass."""
+        low pairs by their bits, one entry per side entering them); a miss,
+        or a low half with fewer than two non-00 pairs below K, which stores
+        nothing, takes the full pass."""
         state = tuple(state)
         self._memo = (state, self._level_scan(state))
         delta = self.delta
@@ -185,29 +186,34 @@ class WindingLandscape(Landscape):
         a + (f0[K], f1[K])[side], and each high flip's delta as c_i + e_i * D,
         with D = f0[K] - f1[K] and e_i in {-1, 0, 1}.  The bits of pairs
         1..K and that side fix (f0[K], f1[K]) and the 2K low deltas, the
-        entry in ``_lows[side]``, when at least two of pairs 1..K-1 are not
-        00: then the peak level is at most K, and a flip under an all-00
-        prefix reads levels up to K only.  Any other low key holds the
-        marker ``()``, and its states take the full pass.  A miss takes the
-        full pass and fills the entry, so the memo holds at most
-        2 * 4^K + 4^(n-K) entries.
+        entry in slot ``side`` of ``_lows[bits]``, when at least two of
+        pairs 1..K-1 are not 00: then the peak level is at most K, and a
+        flip under an all-00 prefix reads levels up to K only.  Any other
+        low half is tested before either memo is read, and its states take
+        the full pass and store nothing.  A miss takes the full pass and
+        fills the entry, so the memo holds one entry per high half met and
+        one per low half and side met, none of them for a low half that
+        fails the test.
         """
         half = self._half
+        bits = state[:half]
+        sides = self._lows.get(bits)
+        if sides is None:
+            if sum(map(or_, bits[:half - 2:2], bits[1:half - 2:2])) < 2:
+                f0, _, deltas = self._level_pass(state)
+                return f0[-1], tuple(deltas)
+            sides = self._lows[bits] = [None, None]
         highs = self._highs
         key = state[half:]
         high = highs.get(key)
         if high is None:
             high = highs[key] = self._high_entry(key)
         side, a, cs, es = high
-        lows = self._lows[side]
-        key = state[:half]
-        low = lows.get(key)
-        if not low:
+        low = sides[side]
+        if low is None:
             f0, f1, deltas = self._level_pass(state)
-            if low is None:
-                k = half // 2
-                splits = sum(map(or_, key[:half - 2:2], key[1:half - 2:2])) > 1
-                lows[key] = (f0[k], f1[k], tuple(deltas[:half])) if splits else ()
+            k = half // 2
+            sides[side] = (f0[k], f1[k], tuple(deltas[:half]))
             return f0[-1], tuple(deltas)
         x, y, deltas = low
         d = x - y

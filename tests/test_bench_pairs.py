@@ -38,6 +38,27 @@ def test_summary_of_fixed_pairs():
     assert work["wins"] == 3
 
 
+def test_claim_rule_needs_nine_tenths_of_the_pairs_and_a_gain_over_the_parents_spread():
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # q1 1.225, q3 1.675
+    faster = [x - 0.5 for x in parent]  # every pair won, medians 0.5 apart
+    slower_last = faster[:9] + [parent[9]]  # a tie: nine of ten won
+    slower_two = faster[:8] + parent[8:]  # eight of ten won
+    closer = [x - 0.4 for x in parent]  # every pair won, 0.4 < 0.45 apart
+
+    def rule(change):
+        summary = bench_pairs.summarize(runs(parent, parent), runs(change, change), METRICS)
+        return summary["wall_s"]["meets_claim_rule"], summary["work_per_s"]["meets_claim_rule"]
+
+    # lower wall time is better, higher work rate is better
+    assert rule(faster) == (True, False)
+    assert rule(slower_last) == (True, False)
+    assert rule(slower_two) == (False, False)
+    assert rule(closer) == (False, False)
+    assert rule([x + 0.5 for x in parent]) == (False, True)
+    summary = bench_pairs.summarize(runs(parent, parent), runs(parent, parent), METRICS)
+    assert summary["wall_s"]["meets_claim_rule"] is False
+
+
 def test_summary_of_one_pair_and_of_a_zero_median():
     summary = bench_pairs.summarize(runs([2.0], [0]), runs([1.0], [0]), METRICS)
     assert summary["wall_s"]["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}

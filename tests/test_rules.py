@@ -32,7 +32,15 @@ from ascentlab.rules import (
     lockstep_steps,
     verify_steepest_equals_rules,
 )
-from ascentlab.search import FAIL_ON_TIE, TieError, _MoveTable, _steepest, _walk
+from ascentlab.search import (
+    FAIL_ON_TIE,
+    LOWEST_INDEX,
+    TieError,
+    _MoveTable,
+    _steepest,
+    _walk,
+    steepest_ascent,
+)
 from ascentlab.symbols import SYMBOLS, format_symbol_state
 from ascentlab.vcsp import SoftConstraint, VcspInstance
 
@@ -509,6 +517,58 @@ def test_cpp_closure_detects_corrupted_table():
     assert not report.passed
     rendered = "\n".join(report.lines())
     assert "FAIL" in rendered
+
+
+def closure_row_by_scan(landscape):
+    """Row (a) of ``verify_cpp_closure`` as it was before it read a move
+    table, kept as its oracle: a fresh ``move_deltas`` scan of every
+    admissible state.  Returns the row's detail."""
+    admissible = [s for s in landscape.iter_states() if classify(s).admissible]
+    violations = sorted(
+        (state, successor) for state in admissible
+        for successor in (landscape.apply(state, move)
+                          for move, d in landscape.move_deltas(state) if d > 0)
+        if not classify(successor).admissible)
+    detail = f"{len(admissible)} admissible states of {landscape.state_count()}"
+    if violations:
+        detail += f"; {len(violations)} counterexamples: " + "; ".join(
+            f"{format_symbol_state(s)} -> {format_symbol_state(t)}" for s, t in violations[:20])
+    return detail
+
+
+def test_the_closure_row_on_a_move_table_equals_the_scan_of_every_admissible_state():
+    cases = [(n, F_NONZERO) for n in range(2, 6)]
+    cases += [(n, {**F_NONZERO, pair: value}) for pair, value in MUTATIONS for n in (3, 4)]
+    cases += [(n, {**F_NONZERO, ("C", "i01"): 14}) for n in (3, 4, 5)]  # 3, 20, 128 failures
+    for n, f_table in cases:
+        check = verify_cpp_closure(n, SymbolCountingLandscape(n, f_table)).checks[0]
+        assert check.label == "improving flips preserve admissibility"
+        assert check.detail == closure_row_by_scan(SymbolCountingLandscape(n, f_table)), (n, f_table)
+        assert check.ok == ("counterexamples" not in check.detail)
+        assert check.ok or f_table is not F_NONZERO
+
+
+def test_the_closure_row_fails_by_itself():
+    # rewarding an i01 under a C adds an improving flip that leaves the
+    # admissible set, and none on the counting path at N = 3
+    f_table = {**F_NONZERO, ("C", "i01"): 14}
+    closure, rule_row = verify_cpp_closure(3, SymbolCountingLandscape(3, f_table)).checks
+    assert not closure.ok and rule_row.ok
+    assert closure.detail == closure_row_by_scan(SymbolCountingLandscape(3, f_table)) == (
+        "40 admissible states of 1000; 3 counterexamples: 0 C 0 -> 0 C i01; "
+        "X C 0 -> X C i01; i0X C 0 -> i0X C i01")
+
+
+@pytest.mark.parametrize("f_table", [F_NONZERO, {**F_NONZERO, ("C", "i01"): 14}],
+                         ids=["shipped", "C-i01"])
+def test_an_ascent_after_the_closure_equals_one_on_a_fresh_landscape(f_table):
+    # the closure's table steps through states no ascent visits, and leaves
+    # its scans in the landscape's memo for every later walk to reinstall
+    walked = SymbolCountingLandscape(5, f_table)
+    verify_cpp_closure(5, walked)
+    after, fresh = (steepest_ascent(landscape, zero_state(5), LOWEST_INDEX, max_steps=10 ** 4)
+                    for landscape in (walked, SymbolCountingLandscape(5, f_table)))
+    assert after.steps == fresh.steps and after.terminal == fresh.terminal
 
 
 def test_lockstep_small_and_midpath_start():

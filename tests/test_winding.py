@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from ascentlab.analysis import degree_bound_report, winding_peak_pairs
 from ascentlab.search import steepest_ascent
 from ascentlab.winding import (
     StepSchedule,
@@ -236,7 +237,7 @@ def test_memoised_level_pass_equals_the_full_pass_and_the_reference_on_every_sta
             for visit in ("cold", "warm"):
                 assert [landscape._level_scan(x) for x in states] == expected, (n, visit)
             # from n = 6 on some low halves have at least two non-00 pairs below K
-            served = sum(1 for lows in landscape._lows for entry in lows.values() if entry)
+            served = sum(1 for sides in landscape._lows.values() for entry in sides if entry)
             assert (served > 0) == (n >= 6), n
 
 
@@ -252,12 +253,11 @@ def test_a_corrupted_memo_entry_is_caught_by_the_equality_check():
     landscape = WindingLandscape(6, alternating_schedule(6))
     states = list(itertools.product((0, 1), repeat=12))
     assert memo_mismatches(landscape, states) == []
-    lows = landscape._lows[0]
-    key = next(key for key, entry in lows.items() if entry)
-    x, y, deltas = entry = lows[key]
-    lows[key] = (x, y, (deltas[0] + 1,) + deltas[1:])
+    sides = next(sides for sides in landscape._lows.values() if sides[0])
+    x, y, deltas = entry = sides[0]
+    sides[0] = (x, y, (deltas[0] + 1,) + deltas[1:])
     assert memo_mismatches(landscape, states)
-    lows[key] = entry
+    sides[0] = entry
     assert memo_mismatches(landscape, states) == []
     highs = landscape._highs
     key = next(iter(highs))
@@ -273,9 +273,19 @@ def test_the_memo_holds_at_most_one_entry_per_half_key():
         landscape = WindingLandscape(n)
         for state in itertools.product((0, 1), repeat=2 * n):
             landscape.move_deltas(state)
-        highs, lows = len(landscape._highs), sum(map(len, landscape._lows))
+        highs = len(landscape._highs)
+        lows = sum(entry is not None for sides in landscape._lows.values() for entry in sides)
         assert highs <= 4 ** (n - k) and lows <= 2 * 4 ** k
         assert highs + lows <= 2 * 4 ** k + 4 ** (n - k)
+
+
+def test_the_degree_bounds_leave_no_memo_entry():
+    # the origin and every peak have at most one non-00 pair, so each low
+    # half takes the full pass and neither half of the memo stores an entry
+    landscape = WindingLandscape(40)
+    report = degree_bound_report(landscape, winding_peak_pairs(landscape))
+    assert report.total >= 39 * 40 // 2
+    assert landscape._highs == {} and landscape._lows == {}
 
 
 def test_serialization_round_trip():
