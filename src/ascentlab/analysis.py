@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .landscapes import Landscape
 from .report import Report
-from .search import _MoveTable
+from .search import _MoveTable, _improving
 from .vcsp import ConstraintGraph
 from .winding import SCHEDULE_PRESETS, WindingLandscape
 
@@ -211,34 +211,10 @@ class CensusResult:
     maxima: tuple = field(default=(), repr=False)
 
 
-def _gray_steps(domains):
-    """The moves of a walk through every state of ``domains`` from its zero
-    state, in reflected mixed-radix Gray-code order: each move changes one
-    variable by one position in its domain, the last variable fastest
-    (Knuth, TAOCP 4A, 7.2.1.1, Algorithm H).  Yields (variable, value)."""
-    digits = [v for v in reversed(range(len(domains))) if len(domains[v]) > 1]
-    radices = [len(domains[v]) for v in digits]
-    a = [0] * len(digits)           # each digit's position in its domain
-    o = [1] * len(digits)           # each digit's direction
-    f = list(range(len(digits) + 1))  # focus pointers
-    while True:
-        j = f[0]
-        f[0] = 0
-        if j == len(digits):
-            return
-        a[j] += o[j]
-        var = digits[j]
-        yield var, domains[var][a[j]]
-        if a[j] == 0 or a[j] == radices[j] - 1:
-            o[j] = -o[j]
-            f[j] = f[j + 1]
-            f[j + 1] = j + 1
-
-
-# a census of 2^24 states took 35 s on pairs n = 24 and 79 s on the Boolean
-# lift at N = 6 (2-core host, Python 3.11); counting-symbol N = 7 took 17 s.
-# A black box rescans every variable at every state: winding n = 10 (2^20
-# states) took 14 s and n = 11 (2^22) 62 s
+# on a 2-core host (Python 3.11, one process each, time.perf_counter), 2^24
+# states took 0.03 s on pairs n = 24 and 22 s on the Boolean lift at N = 6;
+# counting-symbol N = 7 took 0.5 s.  A black box rescans every state: winding
+# n = 10 (2^20 states) took 9.2 s and n = 11 (2^22) 41 s
 CENSUS_MAX_STATES = 2 ** 24
 CENSUS_MAX_BLACK_BOX_STATES = 2 ** 22
 
@@ -247,52 +223,74 @@ def local_optima_census(landscape: Landscape, max_states: int,
                         keep_maxima: bool = False) -> CensusResult:
     """Exhaustive census of local maxima under the landscape's move set.
 
-    One walk visits every state in Gray-code order on the ascent engines'
-    table of improving entries: only the neighbourhood runs each step makes
-    stale are replaced, and a state is a local maximum, the only states
-    evaluated, when no run has an improving entry.  The landscape keeps one
-    memo per run for its lifetime, of the run's improving entries under its
-    neighbourhood's values, so it is bounded by the neighbourhood values
-    met, and a run is rescanned once per value any walk on the landscape
-    meets; a black box, whose one run is the whole state, is rescanned at
-    every state with no memo.  ``maxima`` are in ``iter_states`` order.  A
+    One depth-first walk sets the variables in ``iter_states`` order.  Once
+    a variable completes the ``affected`` set of a neighbourhood run, the
+    run's improving entries, which depend on those values alone, are read
+    from its memo in the landscape's ``_runs`` (on a miss, one ``_rescan``
+    of the run, stored as the move table stores it); one improving entry
+    drops the prefix.  The full states no run drops are the local maxima,
+    the only states evaluated; ``maxima`` are in ``iter_states`` order.  A
+    black box is one run, rescanned whole at every state with no memo.  A
     ``max_states`` below 1, or more states than it or CENSUS_MAX_STATES, is
     refused before any state is read; a black box over
-    CENSUS_MAX_BLACK_BOX_STATES, once its table has scanned the zero state."""
+    CENSUS_MAX_BLACK_BOX_STATES, once the zero state has been scanned."""
     if max_states < 1:
         raise AnalysisError(f"the census cap {max_states} is below 1")
     total = landscape.state_count()
     cap = min(max_states, CENSUS_MAX_STATES)
     if total > cap:
         raise AnalysisError(f"state space has {total} states, over the cap {cap}")
-    table = _MoveTable(landscape, landscape.zero_state())
+    table = _MoveTable(landscape, landscape.zero_state())  # lays out the runs
     if not table.local and total > CENSUS_MAX_BLACK_BOX_STATES:
         raise AnalysisError(f"state space has {total} states, "
                             f"over the cap {CENSUS_MAX_BLACK_BOX_STATES}")
-    improving = table.improving   # per neighbourhood run, kept up to date in place
+    domains = landscape.domains()
+    last = len(domains) - 1
+    tests = [[] for _ in domains]  # per variable, the runs whose neighbourhood it completes
+    for values, memo, variables, _ in landscape._runs[0]:
+        tests[landscape.affected(variables[0])[-1]].append((values, memo, variables))
+    if not table.local:
+        tests[last].append((None, None, None))
+    rescan = landscape._rescan
+    state = list(table.state)
     count = 0
     global_max = worst_local = None
     kept = []
-    steps = _gray_steps(landscape.domains())
-    while True:
-        if not any(improving):
+    done = object()
+    pending = [iter(domains[0])]  # per variable set, the values it has still to take
+    var = 0
+    while var >= 0:
+        value = next(pending[var], done)
+        if value is done:
+            pending.pop()
+            var -= 1
+            continue
+        state[var] = value
+        for values, memo, variables in tests[var]:
+            if memo is None:  # the black box
+                entries = _improving(rescan(tuple(state), None))
+            else:
+                key = values(state)
+                entries = memo.get(key)
+                if entries is None:
+                    entries = memo[key] = _improving(rescan(tuple(state), variables))
+            if entries:
+                break  # an improving move on this prefix: no local maximum below it
+        else:
+            if var < last:
+                var += 1
+                pending.append(iter(domains[var]))
+                continue
             # a global maximum has no improving move, so it is met here
-            fitness = landscape.evaluate(table.state)
+            full = tuple(state)
+            fitness = landscape.evaluate(full)
             count += 1
             if global_max is None or fitness > global_max:
                 global_max = fitness
             if worst_local is None or fitness < worst_local:
                 worst_local = fitness
             if keep_maxima:
-                kept.append((table.state, fitness))
-        move = next(steps, None)
-        if move is None:
-            break
-        table.step(move)
-    if keep_maxima:
-        position = [{value: i for i, value in enumerate(values)}
-                    for values in landscape.domains()]
-        kept.sort(key=lambda kv: [position[v][x] for v, x in enumerate(kv[0])])
+                kept.append((full, fitness))
     return CensusResult(count, global_max, worst_local, total, tuple(kept))
 
 

@@ -45,7 +45,7 @@ ascent entered, and a move keeps it in its domains.
 order.  The first value of each is the variable's value in ``zero_state()``;
 ``iter_states`` (the product of the domains, the last variable fastest),
 ``state_count`` and ``is_boolean`` are derived from it, and the local-optima
-census walks the same domains one value step at a time.
+census sets the variables depth first in that order.
 """
 
 from __future__ import annotations

@@ -92,3 +92,29 @@ def counting_path(n: int) -> list[tuple[str, ...]]:
         if len(path) > budget:
             raise RuleError("counting path exceeded its budget; construction broken")
     return path
+
+
+# -- a walk through every state ---------------------------------------------
+
+def gray_steps(domains):
+    """The moves of a walk through every state of ``domains`` from its zero
+    state, in reflected mixed-radix Gray-code order: each move changes one
+    variable by one position in its domain, the last variable fastest
+    (Knuth, TAOCP 4A, 7.2.1.1, Algorithm H).  Yields (variable, value)."""
+    digits = [v for v in reversed(range(len(domains))) if len(domains[v]) > 1]
+    radices = [len(domains[v]) for v in digits]
+    a = [0] * len(digits)           # each digit's position in its domain
+    o = [1] * len(digits)           # each digit's direction
+    f = list(range(len(digits) + 1))  # focus pointers
+    while True:
+        j = f[0]
+        f[0] = 0
+        if j == len(digits):
+            return
+        a[j] += o[j]
+        var = digits[j]
+        yield var, domains[var][a[j]]
+        if a[j] == 0 or a[j] == radices[j] - 1:
+            o[j] = -o[j]
+            f[j] = f[j + 1]
+            f[j + 1] = j + 1

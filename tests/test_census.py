@@ -1,7 +1,11 @@
-"""The local-optima census walks every state once in Gray-code order on the
-move table; it equals the per-state census it replaced on every landscape
-family, and a VCSP assignment is checked once per ascent, and once per
-local maximum in a census."""
+"""The local-optima census walks the states depth first and drops each
+prefix on which a neighbourhood run already has an improving move; it
+equals the per-state census on every landscape family, also where it drops
+most prefixes, stores in the memo only what a fresh scan gives, and is
+caught when a landscape's neighbourhood leaves out a scope partner.  A VCSP
+assignment is checked once per ascent, and once per local maximum in a
+census.  The Gray-code walk the tests use to reach every state visits each
+once."""
 
 from __future__ import annotations
 
@@ -11,21 +15,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ascentlab.analysis import CensusResult, _gray_steps, local_optima_census
+from ascentlab.analysis import CensusResult, local_optima_census
 from ascentlab.cli import EXIT_INVALID, main
-from ascentlab.counting import F_NONZERO, H_NONZERO, SymbolCountingLandscape
+from ascentlab.counting import (
+    F_NONZERO,
+    H_NONZERO,
+    SymbolCountingLandscape,
+    make_counting_boolean_instance,
+)
 from ascentlab.landscapes import VcspLandscape, make_pairs_instance
-from ascentlab.search import first_improvement_ascent, steepest_ascent
+from ascentlab.search import LOWEST_INDEX, first_improvement_ascent, steepest_ascent
 from ascentlab.symbols import SYMBOLS
 from ascentlab.vcsp import VcspError, VcspInstance
 from ascentlab.winding import SCHEDULE_PRESETS, WindingLandscape
 
-from conftest import dump_instance, random_instance
+from conftest import dump_instance, gray_steps, random_instance
 
 
 def reference_census(landscape, keep_maxima=True) -> CensusResult:
     """The census as one evaluation and one delta per move of every state,
-    in ``iter_states`` order: the oracle for the Gray-code walk."""
+    in ``iter_states`` order: the oracle for the depth-first walk."""
     count = 0
     global_max = None
     worst_local = None
@@ -85,6 +94,71 @@ def test_census_on_winding(preset, n):
     assert census_mismatch(WindingLandscape(n, SCHEDULE_PRESETS[preset](n))) == []
 
 
+# Landscapes on which most prefixes have an improving neighbourhood run, so
+# the census drops them before their last variable is set.
+PRUNED = {
+    "symbols-4": lambda: SymbolCountingLandscape(4),
+    "symbols-4-C0-12": lambda: SymbolCountingLandscape(4, {**F_NONZERO, ("C", "0"): 12}),
+    "boolean-lift-3": lambda: VcspLandscape(make_counting_boolean_instance(3)),
+}
+
+
+@pytest.mark.parametrize("make", PRUNED.values(), ids=PRUNED)
+def test_census_where_pruning_drops_most_prefixes(make):
+    assert census_mismatch(make()) == []
+
+
+@pytest.mark.parametrize("make", PRUNED.values(), ids=PRUNED)
+def test_every_memo_entry_a_census_stores_equals_a_fresh_scan(make):
+    landscape = make()
+    local_optima_census(landscape, landscape.state_count())
+    zero = landscape.zero_state()
+    stored = 0
+    for values, memo, variables, _ in landscape._runs[0]:
+        hood = landscape.affected(variables[0])
+        for key, entries in memo.items():
+            state = list(zero)
+            for var, value in zip(hood, key if len(hood) > 1 else (key,)):
+                state[var] = value
+            state = tuple(state)
+            assert values(state) == key
+            assert entries == tuple(entry for entry in landscape.move_deltas(state)
+                                    if entry[0][0] in variables and entry[1] > 0)
+            stored += 1
+    assert stored > 0
+
+
+@pytest.mark.parametrize("make", PRUNED.values(), ids=PRUNED)
+def test_an_ascent_after_a_census_equals_one_on_a_fresh_landscape(make):
+    landscape = make()
+    local_optima_census(landscape, landscape.state_count())
+    rng = random.Random(3)
+    states = list(landscape.iter_states())
+    for start in [landscape.zero_state(), *rng.sample(states, 6)]:
+        assert (steepest_ascent(landscape, start, LOWEST_INDEX, max_steps=10_000)
+                == steepest_ascent(make(), start, LOWEST_INDEX, max_steps=10_000))
+
+
+class DroppedPartner(VcspLandscape):
+    """Claims that a move on ``var`` leaves the moves of ``partner``, which
+    shares a scope with it, as they were: ``affected(var)`` drops it."""
+
+    def __init__(self, instance, var, partner):
+        super().__init__(instance)
+        self.var, self.partner = var, partner
+
+    def affected(self, var):
+        hood = super().affected(var)
+        return tuple(u for u in hood if u != self.partner) if var == self.var else hood
+
+
+@pytest.mark.parametrize("var, partner", [(0, 7), (11, 10)])
+def test_census_oracle_fires_on_a_dropped_scope_partner(var, partner):
+    instance = make_counting_boolean_instance(3)
+    assert partner in VcspLandscape(instance).affected(var)
+    assert census_mismatch(DroppedPartner(instance, var, partner)) != []
+
+
 def test_census_maxima_follow_iter_states_order():
     census = local_optima_census(VcspLandscape(make_pairs_instance(6, 4)), 64,
                                  keep_maxima=True)
@@ -106,7 +180,7 @@ def test_gray_walk_visits_every_state_once(landscape):
     domains = landscape.domains()
     state = landscape.zero_state()
     visited = [state]
-    for var, value in _gray_steps(domains):
+    for var, value in gray_steps(domains):
         before = domains[var].index(state[var])
         assert abs(domains[var].index(value) - before) == 1
         state = landscape.apply(state, (var, value))
@@ -117,7 +191,7 @@ def test_gray_walk_visits_every_state_once(landscape):
 
 def test_gray_walk_skips_single_value_domains():
     domains = ((0,), (0, 1, 2), ("a",), (5, 6))
-    steps = list(_gray_steps(domains))
+    steps = list(gray_steps(domains))
     assert len(steps) == 3 * 2 - 1
     assert {var for var, _ in steps} == {1, 3}
     assert steps[:3] == [(3, 6), (1, 1), (3, 5)]
@@ -154,9 +228,7 @@ def test_census_checks_the_zero_state_and_each_local_maximum_once(checks):
     # maximum, in walk order; no other state is checked
     maxima = [state for state, _ in census.maxima]
     assert checks[0] == (0,) * 8 and len(checks) == 1 + len(maxima) == 17
-    walk = [(0,) * 8]
-    for move in _gray_steps(landscape.domains()):
-        walk.append(landscape.apply(walk[-1], move))
+    walk = list(landscape.iter_states())
     assert checks[1:] == [state for state in walk if state in maxima]
 
 
