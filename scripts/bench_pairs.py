@@ -9,9 +9,11 @@ first in odd pairs and this checkout first in even ones.  A run that exits
 non-zero or reports ``correct: false`` stops the script with exit 1.  FILE
 (JSON) holds, per workload and end-to-end metric of ``BENCHMARK.json``,
 each side's median and quartiles, the change of the medians in percent,
-the pairs this checkout won (a tie counts for neither side) and
+the pairs this checkout won (a tie counts for neither side),
 ``meets_claim_rule``: whether it won at least nine tenths of the pairs
-and its median beats the parent's by more than the parent's q3 - q1; and
+and its median beats the parent's by more than the parent's q3 - q1, and
+``values``: each side's value in every run, in pair order, from which
+the rest can be recomputed; and
 ``src_lines``, the line count of ``src/ascentlab/*.py`` on each side.  A
 Markdown table of the figures but the rule goes to standard output.
 """
@@ -39,10 +41,11 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> di
     """Per metric of ``metrics`` (``BENCHMARK.json``'s end-to-end entries:
     name, unit, better), the two sides' medians and quartiles over the pairs
     of ``parent`` and ``change`` (one dict of metric values per run, in pair
-    order), the change of the medians in percent, the change's wins, and
+    order), the change of the medians in percent, the change's wins,
     whether they meet the rule for claiming a gain: at least nine tenths of
     the pairs won, and the medians apart in the better direction by more
-    than the parent's interquartile range."""
+    than the parent's interquartile range; and each side's values in pair
+    order."""
     out = {}
     for metric in metrics:
         name = metric["name"]
@@ -65,6 +68,7 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> di
             "wins": wins,
             "pairs": len(before),
             "meets_claim_rule": 10 * wins >= 9 * len(before) and gain > spread,
+            "values": {"parent": before, "change": after},
         }
     return out
 

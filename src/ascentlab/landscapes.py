@@ -112,7 +112,7 @@ class Landscape:
 
     def zero_state(self) -> tuple:
         """The first state of ``iter_states``: every variable at its first value."""
-        return next(self.iter_states())
+        return tuple(values[0] for values in self.domains())
 
     def is_boolean(self) -> bool:
         return all(tuple(values) == (0, 1) for values in self.domains())

@@ -5,8 +5,10 @@ Admissibility
 -------------
 A symbol state is *admissible* when it is reachable from the all-zero state
 by strictly improving single-flip moves.  The recognizer below is a
-13-state left-to-right scan (most significant symbol first) that was
-extracted from the exhaustively computed improving-flip closure; the tests
+13-state left-to-right scan (most significant symbol first), plus one
+context for a lone variable, that was extracted from the exhaustively
+computed improving-flip closure; ``classify`` runs it from rows built once
+from its table, one dict lookup per symbol; the tests
 check that it matches it exactly for N = 2..6 (10, 40, 166, 714 and 3132
 states).  Beyond single-carry-block states, the closure also contains
 stacked carry machinery: improving but non-steepest flips can start a fresh
@@ -38,7 +40,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .counting import SymbolCountingLandscape, count_end_state, zero_state
+from .counting import SymbolCountingLandscape, count_end_state
 from .report import Report
 from .search import FAIL_ON_TIE, TieError, _MoveTable, _steepest, _walk
 from .symbols import format_symbol_state
@@ -186,9 +188,11 @@ _CARRY = "carry"            # C-run context
 _CARRY_SUB = "carry-sub"    # C / iC0 context below machinery
 _I01_END = "i01-end"        # i01 at X_1
 _I1C_END = "i1c-end"        # i1C at X_1
+_LONE = "lone"              # 1, i01 or i1C as the only symbol
 
 _DFA = {
-    _START: {"0": _ZEROS, "X": _X_TOP, "i0X": _PRE_CARRY_TOP, "iX1": _IX1},
+    _START: {"0": _ZEROS, "X": _X_TOP, "i0X": _PRE_CARRY_TOP, "iX1": _IX1,
+             "1": _LONE, "i01": _LONE, "i1C": _LONE},
     _ZEROS: {"0": _ZEROS, "1": _BIT1, "C": _CARRY, "X": _X_TOP,
              "i01": _I01_END, "i0X": _PRE_CARRY_TOP, "i1C": _I1C_END,
              "iX1": _IX1},
@@ -208,9 +212,29 @@ _DFA = {
                  "i1C": _PRE_CARRY_TOP, "iC0": _CARRY_SUB, "iX1": _IX1},
     _I01_END: {},
     _I1C_END: {"C": _CARRY},
+    _LONE: {},
 }
 
-_ACCEPTING = {_ZEROS, _BIT1, _BIT0, _CARRY, _CARRY_SUB, _I01_END, _I1C_END}
+_ACCEPTING = {_ZEROS, _BIT1, _BIT0, _CARRY, _CARRY_SUB, _I01_END, _I1C_END, _LONE}
+
+_ACCEPTS = None  # the key that marks an accepting row; no symbol is None
+
+
+def _rows(dfa, accepting):
+    """Per context of ``dfa``: its row, which maps each symbol ``dfa`` reads
+    there straight to the next context's row and holds the key ``_ACCEPTS``
+    when the context is in ``accepting``.  ``classify`` scans these, one
+    lookup per symbol; ``_DFA`` stays the readable source."""
+    rows = {ctx: {} for ctx in dfa}
+    for ctx, edges in dfa.items():
+        rows[ctx].update((sym, rows[nxt]) for sym, nxt in edges.items())
+        if ctx in accepting:
+            rows[ctx][_ACCEPTS] = True
+    return rows
+
+
+_ROWS = _rows(_DFA, _ACCEPTING)
+_START_ROW = _ROWS[_START]
 
 MAIN_FAMILIES = {1: "{01}+", 2: "{01}*1C...", 3: "{01}*0C...",
                  4: "{01}*CC...", 5: "{01}*XC...", 6: "{01}*X0..."}
@@ -257,16 +281,14 @@ def classify(state: tuple[str, ...]) -> AdmissibleClass:
 
     Lone variables are a degenerate case outside normal use: the X_2 guard
     of the increment rules is vacuous there, so bits and the two trigger
-    intermediates count as admissible.
+    intermediates count as admissible (the context ``_LONE``).
     """
-    if len(state) == 1:
-        return _family_of(state) if state[0] in ("0", "1", "i01", "i1C") else INADMISSIBLE
-    ctx = _START
+    row = _START_ROW
     for sym in state:
-        ctx = _DFA[ctx].get(sym)
-        if ctx is None:
+        row = row.get(sym)
+        if row is None:
             return INADMISSIBLE
-    if ctx not in _ACCEPTING:
+    if _ACCEPTS not in row:
         return INADMISSIBLE
     return _family_of(state)
 
@@ -362,11 +384,14 @@ def verify_cpp_closure(n: int, landscape: SymbolCountingLandscape | None = None)
     """Exhaustive closure and rule-coverage oracle over all 10^N states.
 
     Checks (a) every strictly improving flip from an admissible state lands
-    in an admissible state: ``classify`` reads every state, and the
-    admissible ones are walked in ``iter_states`` order on one move table,
-    built at the first and stepped at each later one on every position
-    whose symbol changed, so their improving flips come from the
-    landscape's per-run memo; and (b) the lockstep from 0^N on the same
+    in an admissible state: ``classify`` is called once on every state,
+    through the module global, and the admissible ones are picked out
+    without a Python loop per rejected state; they are walked in
+    ``iter_states`` order on one move table, built at the first and stepped
+    at each later one on every position whose symbol changed, so their
+    improving flips come from the landscape's per-run memo, and each
+    flip's successor is looked up in the set of admissible states rather
+    than classified again; and (b) the lockstep from 0^N on the same
     landscape (``verify_steepest_equals_rules``): at every state steepest
     ascent visits up to 01^(N-1), the strictly improving flips equal the
     guard-matching rule transitions and steepest ascent takes the rules'
@@ -384,13 +409,12 @@ def verify_cpp_closure(n: int, landscape: SymbolCountingLandscape | None = None)
                          f"over the cap {CLOSURE_MAX_STATES}")
     rep = Report(f"counting-path closure, N={n}")
 
-    admissible_count = 0
+    admissible = list(itertools.compress(landscape.iter_states(), map(
+        operator.attrgetter("admissible"), map(classify, landscape.iter_states()))))
+    members = set(admissible)
     violations = []
     table = None
-    for state in landscape.iter_states():
-        if not classify(state).admissible:
-            continue
-        admissible_count += 1
+    for state in admissible:
         if table is None:
             table = _MoveTable(landscape, state)
         else:
@@ -399,11 +423,11 @@ def verify_cpp_closure(n: int, landscape: SymbolCountingLandscape | None = None)
                     table.step((pos, new))
         for move, _ in table.improving_entries():
             successor = landscape.apply(state, move)
-            if not classify(successor).admissible:
+            if successor not in members:
                 violations.append((state, successor))
     violations.sort()
     ok = not violations
-    detail = f"{admissible_count} admissible states of {landscape.state_count()}"
+    detail = f"{len(admissible)} admissible states of {landscape.state_count()}"
     if violations:
         shown = "; ".join(
             f"{format_symbol_state(s)} -> {format_symbol_state(t)}"
@@ -485,7 +509,7 @@ def verify_steepest_equals_rules(n: int, start=None, budget: int | None = None,
         budget = 2 ** (n + 4)
     elif type(budget) is not int or budget < 0:
         raise ValueError(f"budget must be a non-negative int, not {budget!r}")
-    state = zero_state(n) if start is None else tuple(start)
+    state = landscape.zero_state() if start is None else tuple(start)
     end = count_end_state(n)
     rep = Report(f"steepest-ascent / rule lockstep, N={n}")
     steps = 0

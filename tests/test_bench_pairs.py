@@ -38,6 +38,19 @@ def test_summary_of_fixed_pairs():
     assert work["wins"] == 3
 
 
+def test_summary_keeps_each_sides_values_in_pair_order():
+    parent = runs([3.0, 1.0, 2.0], [30, 10, 20])
+    change = runs([2.5, 0.5, 2.0], [31, 12, 19])
+    summary = bench_pairs.summarize(parent, change, METRICS)
+    assert summary["wall_s"]["values"] == {"parent": [3.0, 1.0, 2.0], "change": [2.5, 0.5, 2.0]}
+    assert summary["work_per_s"]["values"] == {"parent": [30, 10, 20], "change": [31, 12, 19]}
+    # the values give back the summary's figures
+    for name, m in summary.items():
+        again = bench_pairs.summarize(runs(*(m["values"]["parent"],) * 2),
+                                      runs(*(m["values"]["change"],) * 2), METRICS)[name]
+        assert again == m, name
+
+
 def test_claim_rule_needs_nine_tenths_of_the_pairs_and_a_gain_over_the_parents_spread():
     parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # q1 1.225, q3 1.675
     faster = [x - 0.5 for x in parent]  # every pair won, medians 0.5 apart

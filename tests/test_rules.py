@@ -143,9 +143,20 @@ def test_every_state_keeps_its_recorded_family():
     assert total == 4_062
 
 
+def test_the_rows_classify_scans_mirror_the_dfa():
+    # so the tests that walk _DFA (dfa_words) test the scan classify runs
+    assert rules._ROWS.keys() == rules._DFA.keys()
+    assert rules._START_ROW is rules._ROWS[rules._START]
+    for ctx, edges in rules._DFA.items():
+        row = rules._ROWS[ctx]
+        assert (rules._ACCEPTS in row) == (ctx in rules._ACCEPTING), ctx
+        assert row.keys() - {rules._ACCEPTS} == edges.keys(), ctx
+        assert all(row[sym] is rules._ROWS[nxt] for sym, nxt in edges.items()), ctx
+
+
 def test_an_accepted_word_without_a_family_is_an_error(monkeypatch):
     # a transition the scan accepts but no family table names
-    monkeypatch.setitem(rules._DFA[rules._ZEROS], "iCX", rules._BIT0)
+    monkeypatch.setitem(rules._ROWS[rules._ZEROS], "iCX", rules._ROWS[rules._BIT0])
     with pytest.raises(AssertionError, match=r"unlabelled admissible state \('0', 'iCX'\)"):
         classify(S("0 iCX"))
 
@@ -215,6 +226,11 @@ def test_classify_single_variable_degenerate_case():
     assert classify(("0",)).admissible
     assert classify(("i01",)).admissible
     assert not classify(("C",)).admissible
+    # exactly the bits and the two trigger intermediates, each labelled
+    labels = {sym: classify((sym,)).family for sym in SYMBOLS}
+    assert labels == {**dict.fromkeys(SYMBOLS), "0": MAIN_FAMILIES[1], "1": MAIN_FAMILIES[1],
+                      "i01": "i01", "i1C": "i1C"}
+    assert dfa_words(1) == {("0",), ("1",), ("i01",), ("i1C",)}
 
 
 # -- applicable rules and the successor ------------------------------------------
@@ -517,6 +533,47 @@ def test_cpp_closure_detects_corrupted_table():
     assert not report.passed
     rendered = "\n".join(report.lines())
     assert "FAIL" in rendered
+
+
+def test_cpp_closure_classifies_each_state_once(monkeypatch):
+    calls = Counter()
+
+    def counting_classify(state):
+        calls[state] += 1
+        return classify(state)
+
+    monkeypatch.setattr(rules, "classify", counting_classify)
+    for n in (3, 4):
+        calls.clear()
+        assert verify_cpp_closure(n).passed
+        assert sum(calls.values()) == len(calls) == 10 ** n, n
+
+
+# Edits to the recognizer, made in the rows classify reads: the context, the
+# symbol, the context its edge now leads to (None drops the edge), and row
+# (a)'s detail at N = 4 under the edit
+RECOGNIZER_EDITS = {
+    "drop the carry's iC0": (rules._CARRY, "iC0", None,
+                             "148 admissible states of 10000; 16 counterexamples: "),
+    "add iX1 1": (rules._IX1, "1", rules._BIT1,
+                  "197 admissible states of 10000; 33 counterexamples: "),
+    "drop the zeros' i01": (rules._ZEROS, "i01", None,
+                            "165 admissible states of 10000; 1 counterexamples: "
+                            "0 0 0 0 -> 0 0 0 i01"),
+}
+
+
+@pytest.mark.parametrize("edit", RECOGNIZER_EDITS)
+def test_the_closure_row_fires_on_a_corrupted_recognizer(monkeypatch, edit):
+    ctx, sym, target, expected = RECOGNIZER_EDITS[edit]
+    if target is None:
+        monkeypatch.delitem(rules._ROWS[ctx], sym)
+    else:
+        monkeypatch.setitem(rules._ROWS[ctx], sym, rules._ROWS[target])
+    closure, rule_row = verify_cpp_closure(4).checks
+    assert not closure.ok and closure.detail.startswith(expected)
+    assert closure.detail == closure_row_by_scan(SymbolCountingLandscape(4))
+    assert rule_row.ok and rule_row.detail == "37 path states"
 
 
 def closure_row_by_scan(landscape):
